@@ -146,49 +146,26 @@ impl ChosenPathIndex {
 }
 
 impl SetSimilaritySearch for ChosenPathIndex {
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.inner.search(q)
-    }
     /// Delegates to the shared LSF engine, inheriting its dedup-before-verify
     /// first-discovery ordering contract.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
         self.inner.search_all(q)
     }
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<skewsearch_core::TaggedMatch> {
-        self.inner.search_all_tagged(q)
-    }
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<skewsearch_core::TaggedMatch> {
-        self.inner.search_first_tagged(q)
-    }
     fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
         self.inner.plan_query(q)
     }
-    fn probe_plan_tagged(
+    /// Delegates so the inner LSF engine's genuine tags and per-repetition
+    /// deadline polling are kept.
+    fn answer(
         &self,
         plan: &skewsearch_core::QueryPlan,
-    ) -> Vec<skewsearch_core::TaggedMatch> {
-        SetSimilaritySearch::probe_plan_tagged(&self.inner, plan)
-    }
-    fn probe_plan_first_tagged(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Option<skewsearch_core::TaggedMatch> {
-        self.inner.probe_plan_first_tagged(plan)
-    }
-    /// Delegates so the inner LSF engine's per-repetition deadline polling
-    /// is kept (the trait default would only poll once up front).
-    fn probe_plan_tagged_deadline(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
+        take: skewsearch_core::Take,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Vec<skewsearch_core::TaggedMatch>, skewsearch_core::DeadlineExceeded> {
-        self.inner.probe_plan_tagged_deadline(plan, expired)
+        self.inner.answer(plan, take, expired)
     }
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         self.inner.search_batch(queries)
-    }
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.inner.search_batch_best(queries)
     }
     /// Mutable: Chosen Path rides on the shared LSF engine, so it inherits
     /// the log-structured insert/remove for free (the paper's frozen-index

@@ -14,7 +14,7 @@
 //! vectors.
 
 use rand::{Rng, SeedableRng};
-use skewsearch_core::{Match, SetSimilaritySearch};
+use skewsearch_core::{DeadlineExceeded, Match, QueryPlan, SetSimilaritySearch, TaggedMatch, Take};
 use skewsearch_datagen::Dataset;
 use skewsearch_hashing::{FxHashMap, PairwiseU64};
 use skewsearch_rho::rho_minhash;
@@ -96,30 +96,6 @@ impl Band {
     }
 }
 
-/// The probe stage for one band, shared by the fused and the planned query
-/// paths: looks `keys` (the band signature — at most one) up in the band's
-/// bucket table, feeds each globally unseen candidate to `visit`, and
-/// returns `false` iff `visit` stopped the probe. The single bucket-walk
-/// loop keeps both paths byte-identical by construction.
-fn probe_band_keys(
-    band: &Band,
-    pass: u32,
-    keys: &[u64],
-    seen: &mut skewsearch_hashing::FxHashSet<u32>,
-    visit: &mut impl FnMut(u32, u32) -> bool,
-) -> bool {
-    for key in keys {
-        if let Some(bucket) = band.buckets.get(key) {
-            for &id in bucket {
-                if seen.insert(id) && !visit(pass, id) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// MinHash LSH index.
 pub struct MinHashLsh {
     vectors: Vec<SparseVec>,
@@ -169,69 +145,7 @@ impl MinHashLsh {
 
     /// Feeds every distinct candidate to `visit`; stops on `false`.
     pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) {
-        self.probe_tagged(q, |_, id| visit(id))
-    }
-
-    /// [`MinHashLsh::probe`] with discovery coordinates: `visit` receives
-    /// `(band, id)`. Each band probes exactly one bucket (the query's
-    /// signature), and ids ascend within it, so `(band, 0, id)` totally
-    /// orders candidate discovery — the tag contract the sharding layer's
-    /// merge protocol needs.
-    pub fn probe_tagged(&self, q: &SparseVec, mut visit: impl FnMut(u32, u32) -> bool) {
-        let mut seen = skewsearch_hashing::FxHashSet::default();
-        for (pass, band) in self.bands.iter().enumerate() {
-            let Some(sig) = band.signature(q) else { return };
-            if !probe_band_keys(band, pass as u32, &[sig], &mut seen, &mut visit) {
-                break;
-            }
-        }
-    }
-
-    /// Stage 1 of the enumerate→probe→verify pipeline for MinHash: the
-    /// "enumeration" is the `L · r` min-wise hash evaluations producing one
-    /// band signature each, so the plan carries one single-key list per band
-    /// (empty for the empty query, which has no signature).
-    ///
-    /// The plan is valid for this index and for any
-    /// [`Shardable::shard_of_ids`](skewsearch_core::Shardable::shard_of_ids)
-    /// dataset shard (shards keep the band hash functions), and, via
-    /// [`QueryPlan::slice_passes`](skewsearch_core::QueryPlan::slice_passes),
-    /// for band-slice shards.
-    pub fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
-        let passes = self
-            .bands
-            .iter()
-            .map(|band| band.signature(q).map_or_else(Vec::new, |sig| vec![sig]))
-            .collect();
-        skewsearch_core::QueryPlan::from_passes(q.clone(), passes)
-    }
-
-    /// [`MinHashLsh::probe_tagged`] driven by a precomputed plan: only the
-    /// band bucket tables are touched for a planned plan (no signature
-    /// hashing); unplanned plans fall back to the fused probe. Byte-identical
-    /// visit sequence — both paths share one bucket-walk loop.
-    ///
-    /// # Panics
-    /// Panics if a planned plan's pass count differs from the band count.
-    pub fn probe_plan_tagged_with(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-        mut visit: impl FnMut(u32, u32) -> bool,
-    ) {
-        let Some(passes) = plan.passes() else {
-            return self.probe_tagged(plan.query(), visit);
-        };
-        assert_eq!(
-            passes.len(),
-            self.bands.len(),
-            "QueryPlan pass count does not match this index's bands"
-        );
-        let mut seen = skewsearch_hashing::FxHashSet::default();
-        for ((pass, band), keys) in self.bands.iter().enumerate().zip(passes) {
-            if !probe_band_keys(band, pass as u32, keys, &mut seen, &mut visit) {
-                break;
-            }
-        }
+        let _ = self.walk(q, None, &|| false, |_, id| visit(id));
     }
 
     /// Distinct candidate count for a query (cost proxy for experiments).
@@ -251,109 +165,117 @@ impl MinHashLsh {
         skewsearch_core::batch_map(queries, threads, |q| self.search_all(q))
     }
 
-    /// Verifies candidate `id` against `q`: its [`Match`] iff the similarity
-    /// clears the threshold — the single verification site every search and
-    /// probe entry point shares.
-    fn verified(&self, q: &SparseVec, id: u32) -> Option<Match> {
-        let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
-        (sim >= self.threshold).then_some(Match {
-            id: id as usize,
-            similarity: sim,
-        })
+    /// The one pass loop behind every query entry point: probes the bands in
+    /// build order, each with the band's key from `planned` when the query
+    /// was planned or with the query's band signature computed on the spot
+    /// otherwise, and feeds each globally unseen candidate to `visit` as
+    /// `(band, id)`; stops when `visit` returns `false`. Each band probes at
+    /// most one bucket and ids ascend within it, so `(band, 0, id)` totally
+    /// orders candidate discovery — the tag contract of the sharding
+    /// layer's merge protocol.
+    ///
+    /// `expired` is polled before the walk and between bands.
+    ///
+    /// # Panics
+    /// Panics if a planned query's pass count differs from the band count.
+    fn walk(
+        &self,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
+        expired: &(dyn Fn() -> bool + Sync),
+        mut visit: impl FnMut(u32, u32) -> bool,
+    ) -> Result<(), DeadlineExceeded> {
+        if let Some(passes) = planned {
+            assert_eq!(
+                passes.len(),
+                self.bands.len(),
+                "QueryPlan pass count does not match this index's bands"
+            );
+        }
+        if expired() {
+            return Err(DeadlineExceeded);
+        }
+        let mut seen = skewsearch_hashing::FxHashSet::default();
+        for (pass, band) in self.bands.iter().enumerate() {
+            if pass > 0 && expired() {
+                return Err(DeadlineExceeded);
+            }
+            let signature;
+            let keys: &[u64] = match planned {
+                Some(passes) => &passes[pass],
+                None => {
+                    signature = band.signature(q);
+                    signature.as_slice()
+                }
+            };
+            for key in keys {
+                let Some(bucket) = band.buckets.get(key) else {
+                    continue;
+                };
+                for &id in bucket {
+                    if seen.insert(id) && !visit(pass as u32, id) {
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 impl SetSimilaritySearch for MinHashLsh {
-    /// The early-exiting first hit — the tag projection of
-    /// `search_first_tagged`, sharing its verify loop.
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.search_first_tagged(q).map(|t| t.hit)
-    }
-
-    /// Same candidate-handling contract as the LSF indexes: `probe`
-    /// deduplicates ids across bands before verification and matches appear
-    /// in first-discovery order (bands in build order, then bucket insertion
-    /// order). Exactly the tag projection of `search_all_tagged` — one
-    /// verify loop, not two to keep in lockstep.
+    /// Same candidate-handling contract as the LSF indexes: ids are
+    /// deduplicated across bands before verification and matches appear in
+    /// first-discovery order (bands in build order, then bucket insertion
+    /// order) — the tag projection of the unplanned [`Take::All`] answer.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.search_all_tagged(q)
-            .into_iter()
-            .map(|t| t.hit)
-            .collect()
+        self.probe_plan(&QueryPlan::unplanned(q.clone()))
     }
 
-    /// Genuine `(band, bucket)` discovery coordinates from
-    /// [`MinHashLsh::probe_tagged`] (one bucket per band, so `step` is 0).
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<skewsearch_core::TaggedMatch> {
-        let mut out = Vec::new();
-        self.probe_tagged(q, |pass, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            }
-            true
-        });
-        out
+    /// Stage 1 of the enumerate→probe→verify pipeline for MinHash: the
+    /// "enumeration" is the `L · r` min-wise hash evaluations producing one
+    /// band signature each, so the plan carries one single-key list per band
+    /// (empty for the empty query, which has no signature).
+    ///
+    /// The plan is valid for this index and for any
+    /// [`Shardable::shard_of_ids`](skewsearch_core::Shardable::shard_of_ids)
+    /// dataset shard (shards keep the band hash functions), and, via
+    /// [`QueryPlan::slice_passes`], for band-slice shards.
+    fn plan_query(&self, q: &SparseVec) -> QueryPlan {
+        let passes = self
+            .bands
+            .iter()
+            .map(|band| band.signature(q).into_iter().collect())
+            .collect();
+        QueryPlan::from_passes(q.clone(), passes)
     }
 
-    /// Early-exiting: the probe stops at the first verified hit, exactly
-    /// like `search`.
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<skewsearch_core::TaggedMatch> {
-        let mut first = None;
-        self.probe_tagged(q, |pass, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            first.is_none()
-        });
-        first
-    }
-
-    /// Stage 1: one signature per band — see [`MinHashLsh::plan_query`].
-    fn plan_query(&self, q: &SparseVec) -> skewsearch_core::QueryPlan {
-        MinHashLsh::plan_query(self, q)
-    }
-
-    /// Stages 2+3 from a precomputed plan: band bucket lookups via
-    /// [`MinHashLsh::probe_plan_tagged_with`], byte-identical to
-    /// `search_all_tagged(plan.query())`.
-    fn probe_plan_tagged(
+    /// Genuine `(band, 0)` discovery tags; verifies each distinct candidate
+    /// once — the single verification site of every MinHash query.
+    fn answer(
         &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Vec<skewsearch_core::TaggedMatch> {
+        plan: &QueryPlan,
+        take: Take,
+        expired: &(dyn Fn() -> bool + Sync),
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
         let q = plan.query();
-        let mut out = Vec::new();
-        self.probe_plan_tagged_with(plan, |pass, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(skewsearch_core::TaggedMatch { pass, step: 0, hit });
+        let mut hits = Vec::new();
+        self.walk(q, plan.passes(), expired, |pass, id| {
+            let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
+            if sim >= self.threshold {
+                let hit = Match {
+                    id: id as usize,
+                    similarity: sim,
+                };
+                hits.push(TaggedMatch { pass, step: 0, hit });
             }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting planned probe: stops at the first verified hit without
-    /// re-hashing signatures when the plan is planned.
-    fn probe_plan_first_tagged(
-        &self,
-        plan: &skewsearch_core::QueryPlan,
-    ) -> Option<skewsearch_core::TaggedMatch> {
-        let q = plan.query();
-        let mut first = None;
-        self.probe_plan_tagged_with(plan, |pass, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| skewsearch_core::TaggedMatch { pass, step: 0, hit });
-            first.is_none()
-        });
-        first
+            take == Take::All || hits.is_empty()
+        })?;
+        Ok(hits)
     }
 
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         self.search_batch_threads(queries, self.params.query_threads)
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        skewsearch_core::batch_map(queries, self.params.query_threads, |q| self.search_best(q))
     }
 
     /// Band buckets as posting bytes, stored vectors, and per-band hash

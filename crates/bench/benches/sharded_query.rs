@@ -1,16 +1,13 @@
 //! Sharded query throughput: the unsharded correlated index vs
-//! `ShardedIndex` at 1/2/4/8 shards, both strategies, both probe modes —
-//! the query-plan pipeline (`plan` rows: stage 1 once per query, broadcast
-//! to shards) against legacy fused per-shard probing (`reenum` rows: each
-//! `ByDataset` shard re-enumerates `F(q)`, the documented `N×` tax the
-//! pipeline removes).
+//! `ShardedIndex` at 1/2/4/8 shards under both strategies. Every query runs
+//! the query-plan pipeline: stage 1 once per query, broadcast to the shards
+//! under `ByDataset`, one disjoint pass slice per shard under
+//! `ByRepetition`.
 //!
 //! Answers are byte-identical across every row (the merge protocol of
 //! `skewsearch_core::shard` plus the plan-equivalence contract); only cost
-//! changes. Under `ByDataset` the `plan`/`reenum` gap measures the
-//! enumerate-once win — visible even single-threaded, since the tax is CPU
-//! work, not parallelism. Under `ByRepetition` shards own disjoint pass
-//! slices (no tax), so its `plan` rows measure pure pipeline overhead.
+//! changes, so the rows measure the fan-out and merge overhead per shard
+//! count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skewsearch_bench::{bench_dataset, bench_rng};
@@ -54,33 +51,27 @@ fn bench_sharded(c: &mut Criterion) {
         (ShardStrategy::ByDataset, "by_dataset"),
     ] {
         for shards in SHARDS {
-            for (mode, broadcast) in [("plan", true), ("reenum", false)] {
-                let sharded =
-                    ShardedIndex::build(&index, strategy, shards).with_plan_broadcast(broadcast);
-                // Sanity: the bench must measure an equivalent computation.
-                assert_eq!(
-                    sharded.search_all(&qs[0]),
-                    index.search_all(&qs[0]),
-                    "sharded merge diverged — bench would be meaningless"
-                );
-                g.bench_with_input(
-                    BenchmarkId::new(format!("{label}_s{shards}_{mode}_batch"), N),
-                    &qs,
-                    |b, qs| b.iter(|| black_box(sharded.search_batch(black_box(qs)))),
-                );
-            }
+            let sharded = ShardedIndex::build(&index, strategy, shards);
+            // Sanity: the bench must measure an equivalent computation.
+            assert_eq!(
+                sharded.search_all(&qs[0]),
+                index.search_all(&qs[0]),
+                "sharded merge diverged — bench would be meaningless"
+            );
+            g.bench_with_input(
+                BenchmarkId::new(format!("{label}_s{shards}_plan_batch"), N),
+                &qs,
+                |b, qs| b.iter(|| black_box(sharded.search_batch(black_box(qs)))),
+            );
         }
     }
-    // Single-query fan-out latency at the widest sharding, both modes.
-    for (mode, broadcast) in [("plan", true), ("reenum", false)] {
-        let sharded =
-            ShardedIndex::build(&index, ShardStrategy::ByDataset, 8).with_plan_broadcast(broadcast);
-        g.bench_with_input(
-            BenchmarkId::new(format!("by_dataset_s8_single_query_{mode}"), N),
-            &qs[0],
-            |b, q| b.iter(|| black_box(sharded.search_all(black_box(q)))),
-        );
-    }
+    // Single-query fan-out latency at the widest sharding.
+    let sharded = ShardedIndex::build(&index, ShardStrategy::ByDataset, 8);
+    g.bench_with_input(
+        BenchmarkId::new("by_dataset_s8_single_query_plan", N),
+        &qs[0],
+        |b, q| b.iter(|| black_box(sharded.search_all(black_box(q)))),
+    );
     let sharded = ShardedIndex::build(&index, ShardStrategy::ByRepetition, 8);
     g.bench_with_input(
         BenchmarkId::new("by_repetition_s8_single_query_fanout", N),

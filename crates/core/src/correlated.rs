@@ -162,43 +162,26 @@ impl CorrelatedIndex {
 }
 
 impl SetSimilaritySearch for CorrelatedIndex {
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.inner.search(q)
-    }
     /// Delegates to [`LsfIndex::search_all`](crate::LsfIndex), inheriting its
     /// dedup-before-verify, first-discovery ordering contract.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
         self.inner.search_all(q)
     }
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<crate::TaggedMatch> {
-        self.inner.search_all_tagged(q)
-    }
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<crate::TaggedMatch> {
-        self.inner.search_first_tagged(q)
-    }
     fn plan_query(&self, q: &SparseVec) -> crate::QueryPlan {
         self.inner.plan_query(q)
     }
-    fn probe_plan_tagged(&self, plan: &crate::QueryPlan) -> Vec<crate::TaggedMatch> {
-        SetSimilaritySearch::probe_plan_tagged(&self.inner, plan)
-    }
-    fn probe_plan_first_tagged(&self, plan: &crate::QueryPlan) -> Option<crate::TaggedMatch> {
-        self.inner.probe_plan_first_tagged(plan)
-    }
-    /// Delegates so the inner LSF engine's per-repetition deadline polling
-    /// is kept (the trait default would only poll once up front).
-    fn probe_plan_tagged_deadline(
+    /// Delegates so the inner LSF engine's genuine tags and per-repetition
+    /// deadline polling are kept.
+    fn answer(
         &self,
         plan: &crate::QueryPlan,
+        take: crate::Take,
         expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<crate::TaggedMatch>, crate::traits::DeadlineExceeded> {
-        self.inner.probe_plan_tagged_deadline(plan, expired)
+    ) -> Result<Vec<crate::TaggedMatch>, crate::DeadlineExceeded> {
+        self.inner.answer(plan, take, expired)
     }
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         self.inner.search_batch(queries)
-    }
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.inner.search_batch_best(queries)
     }
     /// Mutable: delegates to the inner LSF index's log-structured insert.
     fn insert(

@@ -29,10 +29,10 @@ use crate::persist::{
 use crate::plan::QueryPlan;
 use crate::postings::{CompressedPostings, PostingsEncoder};
 use crate::scheme::ThresholdScheme;
-use crate::traits::{Match, MemoryStats, SetSimilaritySearch};
+use crate::traits::{DeadlineExceeded, Match, MemoryStats, SetSimilaritySearch, TaggedMatch, Take};
 use rand::{Rng, SeedableRng};
 use skewsearch_datagen::BernoulliProfile;
-use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, TabulationU128};
+use skewsearch_hashing::{FxHashMap, FxHashSet, PathHasherStack, PathKey, TabulationU128};
 use skewsearch_sets::{similarity, SparseVec};
 
 /// How many independent repetitions to build.
@@ -166,15 +166,13 @@ struct Repetition {
     delta: FxHashMap<u64, Vec<u32>>,
 }
 
-/// The probe stage for one pass, shared by the fused and the planned query
-/// paths: looks `keys` up in the repetition's bucket table in order, feeds
-/// each *globally unseen* candidate to `visit` with its discovery coordinate
-/// `(pass, step, id)`, and returns `false` iff `visit` stopped the probe.
+/// The probe stage for one pass of the query walk: looks `keys` up in the
+/// repetition's bucket table in order, feeds each *globally unseen*
+/// candidate to `visit` with its discovery coordinate `(pass, step, id)`,
+/// and returns `false` iff `visit` stopped the probe.
 ///
-/// Both front ends — lazy per-repetition enumeration
-/// ([`LsfIndex::probe_tagged`]) and a precomputed [`QueryPlan`]
-/// ([`LsfIndex::probe_plan_tagged`]) — funnel through this one loop, which is
-/// what keeps their answers byte-identical by construction.
+/// Planned keys and lazily enumerated keys both funnel through this one
+/// loop, which is what keeps their answers byte-identical by construction.
 fn probe_pass_keys(
     rep: &Repetition,
     pass: u32,
@@ -301,7 +299,7 @@ pub struct LsfIndex<S: ThresholdScheme> {
     /// were inserted since the last compaction and live in the deltas.
     base_len: usize,
     /// Liveness per slot; `false` = tombstoned (filtered at the single
-    /// [`LsfIndex::verified`] site). Slots are never reused.
+    /// verification site, `LsfIndex::run`). Slots are never reused.
     alive: Vec<bool>,
     /// Count of `true` entries in `alive` — the trait's `len()`.
     live: usize,
@@ -457,53 +455,34 @@ impl<S: ThresholdScheme> LsfIndex<S> {
         &self.profile
     }
 
-    /// Core probing loop. Enumerates the query's filters repetition by
-    /// repetition and feeds each *distinct* candidate to `visit` in
-    /// first-discovery order; stops when `visit` returns `false`. Returns
-    /// query statistics.
-    ///
-    /// The enumeration inputs (scheme thresholds, dimension masses) are
-    /// hoisted into one [`EnumContext`] built up front and shared by every
-    /// repetition — only the hash-stack acceptance decisions differ per
-    /// repetition.
+    /// Feeds each *distinct* candidate of `q` to `visit` in first-discovery
+    /// order, unverified, enumerating lazily repetition by repetition;
+    /// stops when `visit` returns `false`. Returns query statistics.
     pub fn probe(&self, q: &SparseVec, mut visit: impl FnMut(u32) -> bool) -> QueryStats {
-        self.probe_tagged(q, |_, _, id| visit(id))
+        self.walk(q, None, &|| false, |_, _, id| visit(id))
+            .unwrap_or_default()
     }
 
-    /// [`LsfIndex::probe`] with discovery coordinates: `visit` receives
-    /// `(pass, step, id)` where `pass` is the repetition index and `step` the
-    /// position of the discovering filter in the query's enumeration order.
-    ///
-    /// Within one `(pass, step)` bucket, ids ascend (buckets are filled in id
-    /// order at build time), so `(pass, step, id)` totally orders candidate
-    /// discovery — the invariant the sharding layer's merge protocol
-    /// ([`crate::shard::ShardedIndex`]) rests on.
-    pub fn probe_tagged(
+    /// Stage 1 for one repetition: enumerates `F(q)` under `rep`'s hash
+    /// stack and interns the path keys into `keys` (both buffers are
+    /// cleared first). The only place a query's filters are enumerated.
+    fn enumerate_pass(
         &self,
-        q: &SparseVec,
-        mut visit: impl FnMut(u32, u32, u32) -> bool,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        let mut filters = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let context = EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound());
-        for (pass, rep) in self.reps.iter().enumerate() {
-            filters.clear();
-            enumerate_filters_with(
-                &context,
-                &self.scheme,
-                &rep.hashers,
-                self.node_budget,
-                &mut filters,
-            );
-            keys.clear();
-            keys.extend(filters.iter().map(|k| rep.interner.hash(k.raw())));
-            if !probe_pass_keys(rep, pass as u32, &keys, &mut seen, &mut stats, &mut visit) {
-                break;
-            }
-        }
-        stats
+        rep: &Repetition,
+        context: &EnumContext<'_>,
+        filters: &mut Vec<PathKey>,
+        keys: &mut Vec<u64>,
+    ) {
+        filters.clear();
+        enumerate_filters_with(
+            context,
+            &self.scheme,
+            &rep.hashers,
+            self.node_budget,
+            filters,
+        );
+        keys.clear();
+        keys.extend(filters.iter().map(|k| rep.interner.hash(k.raw())));
     }
 
     /// Stage 1 of the pipeline: enumerates `F(q)` under every repetition's
@@ -518,9 +497,10 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// [`QueryPlan::slice_passes`], for any [`LsfIndex::shard_of_passes`]
     /// pass-slice shard.
     ///
-    /// Unlike the fused probe, planning always enumerates **all**
-    /// repetitions up front (no early exit) — that is the price of
-    /// reusability, repaid as soon as a second consumer probes the plan.
+    /// Unlike the lazy probe of an unplanned query, planning always
+    /// enumerates **all** repetitions up front (no early exit) — that is the
+    /// price of reusability, repaid as soon as a second consumer probes the
+    /// plan.
     ///
     /// # Examples
     ///
@@ -542,37 +522,34 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     ///     &mut rng,
     /// );
     /// let plan = index.plan_query(data.vector(0));
-    /// // One key list per repetition, probing reproduces the fused search.
+    /// // One key list per repetition, probing reproduces the search.
     /// assert_eq!(plan.pass_count(), index.repetition_count());
     /// assert_eq!(index.probe_plan(&plan), index.search_all(data.vector(0)));
     /// ```
     pub fn plan_query(&self, q: &SparseVec) -> QueryPlan {
-        let mut filters = Vec::new();
         let context = EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound());
+        let mut filters = Vec::new();
         let passes = self
             .reps
             .iter()
             .map(|rep| {
-                filters.clear();
-                enumerate_filters_with(
-                    &context,
-                    &self.scheme,
-                    &rep.hashers,
-                    self.node_budget,
-                    &mut filters,
-                );
-                filters.iter().map(|k| rep.interner.hash(k.raw())).collect()
+                let mut keys = Vec::new();
+                self.enumerate_pass(rep, &context, &mut filters, &mut keys);
+                keys
             })
             .collect();
         QueryPlan::from_passes(q.clone(), passes)
     }
 
-    /// [`LsfIndex::probe_tagged`] driven by a precomputed [`QueryPlan`]
-    /// instead of live enumeration: only the inverted index is touched for a
-    /// planned plan. Unplanned plans fall back to the fused probe.
+    /// Stage 2 alone: walks `plan` and feeds each distinct candidate to
+    /// `visit` as `(pass, step, id)` — `pass` the repetition, `step` the
+    /// position of the discovering filter in enumeration order — without
+    /// verifying it; stops when `visit` returns `false`. A planned plan
+    /// touches only the inverted index; an unplanned one enumerates lazily.
     ///
-    /// Byte-identical visit sequence to the fused probe of `plan.query()` —
-    /// both paths share one bucket-walk loop.
+    /// Within one `(pass, step)` bucket ids ascend, so `(pass, step, id)`
+    /// totally orders candidate discovery — the invariant the sharding
+    /// layer's merge protocol ([`crate::shard::ShardedIndex`]) rests on.
     ///
     /// # Panics
     /// Panics if a planned plan's pass count differs from this index's
@@ -581,51 +558,101 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     pub fn probe_plan_tagged(
         &self,
         plan: &QueryPlan,
-        mut visit: impl FnMut(u32, u32, u32) -> bool,
+        visit: impl FnMut(u32, u32, u32) -> bool,
     ) -> QueryStats {
-        let Some(passes) = plan.passes() else {
-            return self.probe_tagged(plan.query(), visit);
-        };
-        assert_eq!(
-            passes.len(),
-            self.reps.len(),
-            "QueryPlan pass count does not match this index's repetitions"
-        );
+        self.walk(plan.query(), plan.passes(), &|| false, visit)
+            .unwrap_or_default()
+    }
+
+    /// The one pass loop behind every query entry point. Probes the
+    /// repetitions in build order with the keys of `planned` when the query
+    /// was planned, or with keys enumerated lazily per repetition otherwise
+    /// (the enumeration inputs are hoisted into one [`EnumContext`], built
+    /// on the first repetition reached), and feeds each distinct candidate
+    /// to `visit` as `(pass, step, id)`; stops when `visit` returns `false`.
+    ///
+    /// `expired` is polled before the walk and between repetitions; once
+    /// it fires the walk ends with [`DeadlineExceeded`].
+    fn walk(
+        &self,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
+        expired: &(dyn Fn() -> bool + Sync),
+        mut visit: impl FnMut(u32, u32, u32) -> bool,
+    ) -> Result<QueryStats, DeadlineExceeded> {
+        if let Some(passes) = planned {
+            assert_eq!(
+                passes.len(),
+                self.reps.len(),
+                "QueryPlan pass count does not match this index's repetitions"
+            );
+        }
         let mut stats = QueryStats::default();
         let mut seen: FxHashSet<u32> = FxHashSet::default();
-        for ((pass, rep), keys) in self.reps.iter().enumerate().zip(passes) {
+        let mut context = None;
+        let mut filters = Vec::new();
+        let mut lazy_keys = Vec::new();
+        if expired() {
+            return Err(DeadlineExceeded);
+        }
+        for (pass, rep) in self.reps.iter().enumerate() {
+            if pass > 0 && expired() {
+                return Err(DeadlineExceeded);
+            }
+            let keys: &[u64] = match planned {
+                Some(passes) => &passes[pass],
+                None => {
+                    let context = context.get_or_insert_with(|| {
+                        EnumContext::new(q, &self.profile, &self.scheme, self.scheme.depth_bound())
+                    });
+                    self.enumerate_pass(rep, context, &mut filters, &mut lazy_keys);
+                    &lazy_keys
+                }
+            };
             if !probe_pass_keys(rep, pass as u32, keys, &mut seen, &mut stats, &mut visit) {
                 break;
             }
         }
-        stats
+        Ok(stats)
     }
 
-    /// Verifies candidate `id` against `q`: its [`Match`] iff the slot is
-    /// live and the similarity clears the index's threshold. Stage 3's
-    /// single verification site, shared by every search/probe entry point —
-    /// which makes it the single place tombstones are filtered: a removed
-    /// set may still be probed out of a stale bucket, but it can never be
-    /// answered.
-    fn verified(&self, q: &SparseVec, id: u32) -> Option<Match> {
-        if !self.alive[id as usize] {
-            return None;
-        }
-        let sim = similarity::braun_blanquet(&self.vectors[id as usize], q);
-        (sim >= self.verify_threshold).then_some(Match {
-            id: id as usize,
-            similarity: sim,
-        })
+    /// Stages 2+3: walks the query and keeps the first verified hit
+    /// ([`Take::First`]) or all of them ([`Take::All`]) with their discovery
+    /// tags. Every search, probe and deadline entry point is a projection of
+    /// this, so it is the single verification site — and the single place
+    /// tombstones are filtered: a removed set may still be probed out of a
+    /// stale bucket, but it is never answered.
+    fn run(
+        &self,
+        q: &SparseVec,
+        planned: Option<&[Vec<u64>]>,
+        take: Take,
+        expired: &(dyn Fn() -> bool + Sync),
+    ) -> Result<(Vec<TaggedMatch>, QueryStats), DeadlineExceeded> {
+        let mut hits = Vec::new();
+        let stats = self.walk(q, planned, expired, |pass, step, id| {
+            let id = id as usize;
+            if self.alive[id] {
+                let sim = similarity::braun_blanquet(&self.vectors[id], q);
+                if sim >= self.verify_threshold {
+                    let hit = Match {
+                        id,
+                        similarity: sim,
+                    };
+                    hits.push(TaggedMatch { pass, step, hit });
+                }
+            }
+            take == Take::All || hits.is_empty()
+        })?;
+        Ok((hits, stats))
     }
 
     /// [`SetSimilaritySearch::search`] with statistics.
     pub fn search_with_stats(&self, q: &SparseVec) -> (Option<Match>, QueryStats) {
-        let mut hit = None;
-        let stats = self.probe(q, |id| {
-            hit = self.verified(q, id);
-            hit.is_none()
-        });
-        (hit, stats)
+        let (hits, stats) = self
+            .run(q, None, Take::First, &|| false)
+            .unwrap_or_default();
+        (hits.first().map(|t| t.hit), stats)
     }
 
     /// Distinct candidate ids the index would verify for `q` (no similarity
@@ -645,16 +672,6 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// worker count.
     pub fn search_batch_threads(&self, queries: &[SparseVec], threads: usize) -> Vec<Vec<Match>> {
         batch_map(queries, threads, |q| self.search_all(q))
-    }
-
-    /// [`SetSimilaritySearch::search_batch_best`] with an explicit worker
-    /// count (`0` = one per available core).
-    pub fn search_batch_best_threads(
-        &self,
-        queries: &[SparseVec],
-        threads: usize,
-    ) -> Vec<Option<Match>> {
-        batch_map(queries, threads, |q| self.search_best(q))
     }
 
     /// [`LsfIndex::distinct_candidates`] over a query batch on `threads`
@@ -759,7 +776,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// id never comes back.
     ///
     /// The tombstone is honored immediately at the single verification
-    /// site (`verified`) — the dead set can still be *probed* (its bucket
+    /// site (`run`) — the dead set can still be *probed* (its bucket
     /// entries linger until the next [`LsfIndex::compact`]) but can never
     /// be answered.
     pub fn remove_set(&mut self, id: usize) -> bool {
@@ -780,7 +797,7 @@ impl<S: ThresholdScheme> LsfIndex<S> {
     /// survivors (ascending ids) followed by that key's delta ids (also
     /// ascending, and all larger) — so the post-compaction walk order for
     /// every key equals the pre-compaction walk order minus dead ids, which
-    /// the `verified` tombstone check was already filtering. Queries before
+    /// the tombstone check at verification was already filtering. Queries before
     /// and after compaction answer byte-identically
     /// (`tests/mutation_equivalence.rs` interleaves explicit compactions).
     ///
@@ -1031,53 +1048,13 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 }
 
 impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
-    /// The early-exiting first hit — the tag projection of
-    /// `search_first_tagged`, sharing its verify loop
-    /// ([`LsfIndex::search_with_stats`] keeps its own for stats-bearing
-    /// callers).
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.search_first_tagged(q).map(|t| t.hit)
-    }
-
-    /// Implements the trait's dedup-then-verify contract: [`LsfIndex::probe`]
-    /// deduplicates candidate ids across repetitions *before* the similarity
-    /// computation, and matches are pushed in first-discovery probe order.
-    ///
-    /// Exactly the tag projection of
-    /// [`LsfIndex::search_all_tagged`](SetSimilaritySearch::search_all_tagged)
-    /// — one verify loop, not two to keep in lockstep.
+    /// Implements the trait's dedup-then-verify contract: the walk
+    /// deduplicates candidate ids across repetitions *before* the
+    /// similarity computation, and matches appear in first-discovery probe
+    /// order — the tag projection of the unplanned [`Take::All`] answer.
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.search_all_tagged(q)
-            .into_iter()
-            .map(|t| t.hit)
-            .collect()
-    }
-
-    /// Genuine `(repetition, filter)` discovery coordinates from
-    /// [`LsfIndex::probe_tagged`] — the tags the sharded merge protocol
-    /// requires.
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<crate::traits::TaggedMatch> {
-        let mut out = Vec::new();
-        self.probe_tagged(q, |pass, step, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(crate::traits::TaggedMatch { pass, step, hit });
-            }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting: the probe stops at the first verified hit, exactly
-    /// like [`LsfIndex::search`].
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<crate::traits::TaggedMatch> {
-        let mut first = None;
-        self.probe_tagged(q, |pass, step, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| crate::traits::TaggedMatch { pass, step, hit });
-            first.is_none()
-        });
-        first
+        let (hits, _) = self.run(q, None, Take::All, &|| false).unwrap_or_default();
+        hits.into_iter().map(|t| t.hit).collect()
     }
 
     /// Stage 1: full enumeration + interning, one key list per repetition —
@@ -1086,93 +1063,22 @@ impl<S: ThresholdScheme> SetSimilaritySearch for LsfIndex<S> {
         LsfIndex::plan_query(self, q)
     }
 
-    /// Stages 2+3 from a precomputed plan: bucket lookups via
-    /// [`LsfIndex::probe_plan_tagged`], verification via the shared verify
-    /// site — byte-identical to `search_all_tagged(plan.query())`.
-    fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<crate::traits::TaggedMatch> {
-        let q = plan.query();
-        let mut out = Vec::new();
-        LsfIndex::probe_plan_tagged(self, plan, |pass, step, id| {
-            if let Some(hit) = self.verified(q, id) {
-                out.push(crate::traits::TaggedMatch { pass, step, hit });
-            }
-            true
-        });
-        out
-    }
-
-    /// Early-exiting planned probe: stops at the first verified hit, exactly
-    /// like `search_first_tagged(plan.query())` — but without enumeration
-    /// when the plan is planned.
-    fn probe_plan_first_tagged(&self, plan: &QueryPlan) -> Option<crate::traits::TaggedMatch> {
-        let q = plan.query();
-        let mut first = None;
-        LsfIndex::probe_plan_tagged(self, plan, |pass, step, id| {
-            first = self
-                .verified(q, id)
-                .map(|hit| crate::traits::TaggedMatch { pass, step, hit });
-            first.is_none()
-        });
-        first
-    }
-
-    /// Deadline-aware planned probe at per-repetition granularity: the
-    /// expiry check is re-polled before every pass (the natural cancellation
-    /// point of the pipeline — each pass is one bucket-walk over one
-    /// repetition), so a firing deadline abandons the probe within one
-    /// repetition's worth of work. Unplanned plans poll once and fall back
-    /// to the fused path.
-    ///
-    /// Shares the private `probe_pass_keys` walk with every other probe
-    /// entry point, so a never-firing check yields exactly
-    /// [`SetSimilaritySearch::probe_plan_tagged`].
-    fn probe_plan_tagged_deadline(
+    /// Genuine `(repetition, filter)` discovery tags, polling `expired`
+    /// between repetitions — the natural cancellation point of the
+    /// pipeline, so a firing deadline abandons the probe within one
+    /// repetition's worth of work.
+    fn answer(
         &self,
         plan: &QueryPlan,
+        take: Take,
         expired: &(dyn Fn() -> bool + Sync),
-    ) -> Result<Vec<crate::traits::TaggedMatch>, crate::traits::DeadlineExceeded> {
-        if expired() {
-            return Err(crate::traits::DeadlineExceeded);
-        }
-        let Some(passes) = plan.passes() else {
-            return Ok(SetSimilaritySearch::probe_plan_tagged(self, plan));
-        };
-        assert_eq!(
-            passes.len(),
-            self.reps.len(),
-            "QueryPlan pass count does not match this index's repetitions"
-        );
-        let q = plan.query();
-        let mut out = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        for ((pass, rep), keys) in self.reps.iter().enumerate().zip(passes) {
-            if pass > 0 && expired() {
-                return Err(crate::traits::DeadlineExceeded);
-            }
-            probe_pass_keys(
-                rep,
-                pass as u32,
-                keys,
-                &mut seen,
-                &mut stats,
-                &mut |pass, step, id| {
-                    if let Some(hit) = self.verified(q, id) {
-                        out.push(crate::traits::TaggedMatch { pass, step, hit });
-                    }
-                    true
-                },
-            );
-        }
-        Ok(out)
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        self.run(plan.query(), plan.passes(), take, expired)
+            .map(|(hits, _)| hits)
     }
 
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
         self.search_batch_threads(queries, self.query_threads)
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        self.search_batch_best_threads(queries, self.query_threads)
     }
 
     /// Infallible delegation to [`LsfIndex::insert_set`] — the LSF index is

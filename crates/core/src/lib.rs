@@ -99,4 +99,5 @@ pub use split::{
 };
 pub use traits::{
     DeadlineExceeded, Match, MemoryStats, MutationError, SetId, SetSimilaritySearch, TaggedMatch,
+    Take,
 };

@@ -842,7 +842,6 @@ pub struct ShardManifestEntry {
 ///     threshold: 0.6,
 ///     len: 3,
 ///     next_id: 3,
-///     plan_broadcast: true,
 ///     owner: vec![(0, 0), (1, 0), (0, 1)],
 ///     shards: vec![
 ///         ShardManifestEntry {
@@ -873,8 +872,6 @@ pub struct ShardManifest {
     /// The next global [`crate::SetId`] to assign (the mutation-log
     /// watermark of the wrapper itself).
     pub next_id: usize,
-    /// Whether the enumerate-once plan broadcast is enabled.
-    pub plan_broadcast: bool,
     /// Global id → `(shard, local id)` under `ByDataset`; empty under
     /// `ByRepetition`.
     pub owner: Vec<(u32, u32)>,
@@ -893,7 +890,9 @@ impl ShardManifest {
         w.put_f64(self.threshold);
         w.put_u64(self.len as u64);
         w.put_u64(self.next_id as u64);
-        w.put_u32(self.plan_broadcast as u32);
+        // The `plan_broadcast` slot is kept for format compatibility:
+        // written as 1, ignored on read.
+        w.put_u32(1);
         w.put_u64(self.owner.len() as u64);
         for &(shard, local) in &self.owner {
             w.buf.extend_from_slice(&shard.to_le_bytes());
@@ -925,11 +924,7 @@ impl ShardManifest {
         let threshold = r.get_f64()?;
         let len = r.get_u64()? as usize;
         let next_id = r.get_u64()? as usize;
-        let plan_broadcast = match r.get_u32()? {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Malformed("plan_broadcast flag not 0/1")),
-        };
+        let _plan_broadcast = r.get_u32()?;
         let owners = r.get_len(8)?;
         let mut owner = Vec::with_capacity(owners);
         for _ in 0..owners {
@@ -960,7 +955,6 @@ impl ShardManifest {
             threshold,
             len,
             next_id,
-            plan_broadcast,
             owner,
             shards,
         })
@@ -1121,7 +1115,6 @@ mod tests {
             threshold: 0.42,
             len: 10,
             next_id: 12,
-            plan_broadcast: false,
             owner: vec![],
             shards: vec![ShardManifestEntry {
                 file: "shard-0000.skx".into(),
@@ -1131,6 +1124,12 @@ mod tests {
         };
         let payload = manifest.encode();
         assert_eq!(ShardManifest::decode(&payload).unwrap(), manifest);
+        // The `plan_broadcast` slot (the word at byte 32) is ignored on read:
+        // a manifest written with it cleared decodes to the same manifest.
+        assert_eq!(payload[32], 1);
+        let mut cleared = payload.clone();
+        cleared[32] = 0;
+        assert_eq!(ShardManifest::decode(&cleared).unwrap(), manifest);
         // Corrupting the strategy tag yields Malformed, not a panic.
         let mut bad = payload.clone();
         bad[0] = 9;

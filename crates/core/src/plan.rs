@@ -4,19 +4,22 @@
 //! the query's filter set `F(q)` under the preprocessing hash stacks, then
 //! *probe* the inverted index with those filters (LSF-Join distributes
 //! exactly this split by shipping precomputed filter keys to partitions).
-//! Our fused probe loop interleaves the two per repetition, which is optimal
-//! for a single index — but a sharded index that partitions the *dataset*
-//! keeps the same hash stacks in every shard, so enumeration is
-//! shard-invariant and fusing it into the per-shard probe re-pays the
-//! enumeration cost once per shard (`N×` per query).
+//! A single index can interleave the two per repetition, enumerating only
+//! the repetitions an early-exiting query reaches — but a sharded index that
+//! partitions the *dataset* keeps the same hash stacks in every shard, so
+//! enumeration is shard-invariant and is worth paying once per query, not
+//! once per shard.
 //!
-//! [`QueryPlan`] materializes stage 1 as plain owned data: the query vector
+//! [`QueryPlan`] carries both modes into the trait's single query
+//! primitive,
+//! [`SetSimilaritySearch::answer`](crate::SetSimilaritySearch::answer). A
+//! *planned* plan materializes stage 1 as plain owned data: the query vector
 //! plus, per probe pass (LSF repetition / MinHash band), the interned 64-bit
-//! bucket keys in enumeration order. A plan is produced once by
+//! bucket keys in enumeration order. It is produced once by
 //! [`SetSimilaritySearch::plan_query`](crate::SetSimilaritySearch::plan_query)
-//! and consumed any number of times by
-//! [`SetSimilaritySearch::probe_plan`](crate::SetSimilaritySearch::probe_plan)
-//! — by the index that planned it, or by any dataset shard of that index.
+//! and answered any number of times — by the index that planned it, or by
+//! any dataset shard of that index. An *unplanned* plan carries only the
+//! query, and `answer` enumerates each pass's keys lazily as it reaches it.
 //! Because it is nothing but a `SparseVec` and a `Vec<Vec<u64>>`, a future
 //! network fan-out can serialize it verbatim and ship `(plan, shard)` pairs
 //! instead of re-enumerating remotely.
@@ -32,13 +35,14 @@ use skewsearch_sets::SparseVec;
 ///   probe pass; a consuming index probes buckets only, never re-running
 ///   filter enumeration;
 /// * **unplanned** ([`QueryPlan::unplanned`]) — carries only the query;
-///   consumers fall back to their fused enumerate-and-probe path. This is
-///   the degradation mode for structures without a bucketed probe (brute
-///   force, prefix filtering).
+///   bucketed indexes enumerate each pass lazily as the probe reaches it
+///   (what keeps `search`'s early exit cheap), and structures without a
+///   bucketed probe (brute force, prefix filtering) answer from
+///   `search_all`.
 ///
 /// The defining contract, pinned by `tests/plan_equivalence.rs` for every
 /// index type in the workspace: probing a plan yields **byte-identical**
-/// results to the fused search it was split out of,
+/// results to the search on the unplanned query,
 /// `index.probe_plan(&index.plan_query(q)) == index.search_all(q)`.
 ///
 /// Plans are additionally **mutation-invariant**: a plan depends only on
@@ -70,7 +74,7 @@ use skewsearch_sets::SparseVec;
 /// // Stage 1 once …
 /// let plan = index.plan_query(&q);
 /// assert!(plan.is_planned());
-/// // … stages 2+3 as often as needed, byte-identical to the fused path.
+/// // … stages 2+3 as often as needed, byte-identical to the search.
 /// assert_eq!(index.probe_plan(&plan), index.search_all(&q));
 /// assert_eq!(index.probe_plan(&plan), index.probe_plan(&plan));
 /// ```
@@ -78,13 +82,13 @@ use skewsearch_sets::SparseVec;
 pub struct QueryPlan {
     query: SparseVec,
     /// `passes[p]` = interned bucket keys of pass `p`, in enumeration order.
-    /// `None` marks an unplanned plan (fused fallback).
+    /// `None` marks an unplanned plan (lazy enumeration).
     passes: Option<Vec<Vec<u64>>>,
 }
 
 impl QueryPlan {
-    /// A plan carrying only the query: consumers fall back to their fused
-    /// enumerate-and-probe path. This is what the trait-level default
+    /// A plan carrying only the query: consumers enumerate lazily, pass by
+    /// pass. This is what the trait-level default
     /// [`plan_query`](crate::SetSimilaritySearch::plan_query) produces.
     pub fn unplanned(query: SparseVec) -> Self {
         Self {

@@ -28,7 +28,7 @@
 //! then filter/bucket — with ids ascending inside one coordinate (bucket
 //! insertion order). So the unsharded output order is exactly "sort
 //! candidates by `(pass, step, id)` of their first discovery". Shards report
-//! that coordinate per match ([`SetSimilaritySearch::search_all_tagged`]);
+//! that coordinate per match ([`SetSimilaritySearch::answer`]);
 //! the merge offsets passes (`ByRepetition`), remaps local ids to global
 //! (`ByDataset`), sorts by `(pass, step, id)`, and drops all but the first
 //! occurrence of each id. Dedup-before-verify holds *within* each shard
@@ -44,23 +44,26 @@
 //! chunk of 1, so a handful of expensive shard probes actually spread across
 //! workers).
 //!
-//! ## The plan broadcast (enumerate once, probe everywhere)
+//! ## One fan-out (enumerate once, probe everywhere)
+//!
+//! The wrapper implements the trait's single query primitive,
+//! [`SetSimilaritySearch::answer`], with one fan-out: every shard answers
+//! the same [`Take`] (first hit or all hits) under the same deadline check,
+//! and the merge above combines the results — for [`Take::First`] the
+//! minimum of the per-shard first hits is the global first discovery, so
+//! no shard runs past its own first hit. Every other query surface is a
+//! projection of that answer.
 //!
 //! `ByDataset` shards share the parent's hash stacks and key interners, so a
 //! query's filter set `F(q)` — and hence its [`QueryPlan`] — is
-//! **shard-invariant**. The wrapper therefore runs the pipeline's stage 1
+//! **shard-invariant**. The fan-out therefore runs the pipeline's stage 1
 //! exactly once per query ([`SetSimilaritySearch::plan_query`] on one shard)
-//! and broadcasts the resulting plan to every shard's
-//! [`SetSimilaritySearch::probe_plan_tagged`], which only touches the
-//! shard's inverted index. This removes the former `N×` enumeration tax the
-//! fused path paid (each shard re-deriving `F(q)`), and, because a plan is
-//! plain owned data, it is exactly what a cross-machine fan-out would
-//! serialize and ship. `ByRepetition` shards own *disjoint* pass slices, so
-//! each shard plans its own slice — total enumeration is the unsharded `1×`
-//! either way. [`ShardedIndex::with_plan_broadcast`] can disable the
-//! broadcast (fused per-shard probing) for measurement; answers are
-//! byte-identical in both modes, and `tests/enumeration_count.rs` pins the
-//! exactly-one-enumeration claim with the counting hook
+//! and broadcasts the resulting plan to every shard, whose probe only
+//! touches its own inverted index. Because a plan is plain owned data, it
+//! is exactly what a cross-machine fan-out would serialize and ship.
+//! `ByRepetition` shards own *disjoint* pass slices, so each shard runs its
+//! own slice — total enumeration is the unsharded `1×` either way, which
+//! `tests/enumeration_count.rs` pins with the counting hook
 //! [`crate::engine::enumeration_count`].
 //!
 //! ## Trade-offs (documented, not hidden)
@@ -78,7 +81,7 @@ use crate::index::LsfIndex;
 use crate::plan::QueryPlan;
 use crate::scheme::ThresholdScheme;
 use crate::traits::{
-    DeadlineExceeded, Match, MutationError, SetId, SetSimilaritySearch, TaggedMatch,
+    DeadlineExceeded, Match, MutationError, SetId, SetSimilaritySearch, TaggedMatch, Take,
 };
 use skewsearch_hashing::{mix, FxHashSet};
 use skewsearch_sets::SparseVec;
@@ -98,11 +101,10 @@ pub enum ShardStrategy {
 /// index structure in the workspace (the LSF family and MinHash); the
 /// sharded wrapper is generic over this trait.
 ///
-/// Implementations must uphold the tag contract of
-/// [`SetSimilaritySearch::search_all_tagged`] with *genuine* probe
-/// coordinates — the byte-identical merge guarantee of [`ShardedIndex`]
-/// holds only then — and the **plan-invariance contract**: dataset shards
-/// keep the parent's probe-plan structure, i.e.
+/// Implementations must tag the matches of [`SetSimilaritySearch::answer`]
+/// with *genuine* probe coordinates — the byte-identical merge guarantee of
+/// [`ShardedIndex`] holds only then — and uphold the **plan-invariance
+/// contract**: dataset shards keep the parent's probe-plan structure, i.e.
 /// `self.shard_of_ids(ids).plan_query(q) == self.plan_query(q)` for every
 /// query. The wrapper's enumerate-once broadcast plans on one shard and
 /// probes the same [`QueryPlan`] on all of them; a shard that redrew hash
@@ -240,11 +242,6 @@ pub struct ShardedIndex<S> {
     fanout_threads: usize,
     /// Workers for `search_batch` across queries (`0` = one per core).
     query_threads: usize,
-    /// Route probes through the query-plan pipeline (stage 1 once per query,
-    /// stage 2 per shard) instead of fused per-shard enumerate-and-probe.
-    /// Answers are byte-identical either way; this is the `N×`→`1×`
-    /// enumeration win under `ByDataset`.
-    plan_broadcast: bool,
 }
 
 impl<S: Shardable + Send + Sync> ShardedIndex<S> {
@@ -305,7 +302,6 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
             owner,
             fanout_threads: 0,
             query_threads: 0,
-            plan_broadcast: true,
         }
     }
 
@@ -325,23 +321,6 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self
     }
 
-    /// Enables or disables the query-plan broadcast (default: enabled).
-    ///
-    /// Enabled, every probe runs the three-stage pipeline: stage 1
-    /// ([`SetSimilaritySearch::plan_query`]) once per query — on one shard
-    /// under `ByDataset` (plans are shard-invariant there), per pass-slice
-    /// under `ByRepetition` — and stage 2
-    /// ([`SetSimilaritySearch::probe_plan_tagged`]) per shard. Disabled,
-    /// shards run their fused enumerate-and-probe path, re-paying the
-    /// enumeration once per `ByDataset` shard (the pre-pipeline behaviour,
-    /// kept for measurement — `benches/sharded_query.rs` reports both).
-    ///
-    /// Purely a cost knob: answers are **byte-identical** in both modes.
-    pub fn with_plan_broadcast(mut self, enabled: bool) -> Self {
-        self.plan_broadcast = enabled;
-        self
-    }
-
     /// The decomposition strategy.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
@@ -358,80 +337,81 @@ impl<S: Shardable + Send + Sync> ShardedIndex<S> {
         self.shards.iter().map(|s| s.index.len()).collect()
     }
 
-    /// Stage 1 for a `ByDataset` broadcast: plan the query once, on the
-    /// first shard. Plans are shard-invariant under dataset partitioning
-    /// (the [`Shardable`] plan-invariance contract: every shard keeps the
-    /// parent's hash stacks and interners), so any shard — even one owning
-    /// zero vectors — derives the exact plan the parent index would.
-    fn broadcast_plan(&self, q: &SparseVec) -> QueryPlan {
-        self.shards[0].index.plan_query(q)
-    }
-
-    /// Fans the query across shards (`threads` workers, claim chunk 1, so
-    /// each shard probe can take its own worker), globalizes tags and ids,
-    /// and merges back into the unsharded discovery order: sort by
-    /// `(pass, step, id)`, then keep only the first occurrence of each id.
+    /// The one cross-shard fan-out behind every query surface: runs `plan`
+    /// on every shard (`threads` workers, claim chunk 1, so each shard probe
+    /// can take its own worker), globalizes tags and ids, and merges back
+    /// into the unsharded discovery order — sort by `(pass, step, id)`, keep
+    /// the first occurrence of each id. Under [`Take::First`] every shard
+    /// stops at its own first verified hit and the merged minimum is the
+    /// global first discovery.
     ///
-    /// With the plan broadcast (default), the fan-out runs the pipeline:
-    /// under `ByDataset` one [`QueryPlan`] is derived up front and every
-    /// shard probe consumes `&plan` — exactly one `F(q)` enumeration per
-    /// query, no matter the shard count; under `ByRepetition` each shard
-    /// plans its own (disjoint) pass slice, which is the same `1×` total.
-    fn merged_tagged(&self, q: &SparseVec, threads: usize) -> Vec<TaggedMatch> {
-        let per_shard: Vec<Vec<TaggedMatch>> = match (self.plan_broadcast, self.strategy) {
-            (true, ShardStrategy::ByDataset) => {
-                let plan = self.broadcast_plan(q);
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_tagged(&plan)
-                })
+    /// Under `ByDataset` an unplanned query is planned once, on the first
+    /// shard — plans are shard-invariant there (the [`Shardable`]
+    /// plan-invariance contract), so any shard, even one owning zero
+    /// vectors, derives the plan the parent index would — and every shard
+    /// probes that one plan: exactly one `F(q)` enumeration per query, no
+    /// matter the shard count. Under `ByRepetition` each shard runs its own
+    /// (disjoint) pass slice — of the plan when it is planned, lazily
+    /// otherwise — which is the same `1×` total.
+    ///
+    /// `expired` is polled up front, after planning, and by every shard's
+    /// own [`SetSimilaritySearch::answer`]; if *any* shard reports
+    /// [`DeadlineExceeded`] the whole query does — a merge over a partial
+    /// shard set would silently drop matches.
+    fn fan_out(
+        &self,
+        plan: &QueryPlan,
+        take: Take,
+        expired: &(dyn Fn() -> bool + Sync),
+        threads: usize,
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        if expired() {
+            return Err(DeadlineExceeded);
+        }
+        let broadcast;
+        let plan = if self.strategy == ShardStrategy::ByDataset && !plan.is_planned() {
+            broadcast = self.shards[0].index.plan_query(plan.query());
+            if expired() {
+                return Err(DeadlineExceeded);
             }
-            (true, ShardStrategy::ByRepetition) => {
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_tagged(&shard.index.plan_query(q))
-                })
-            }
-            (false, _) => batch_map_chunked(&self.shards, threads, 1, |shard| {
-                shard.index.search_all_tagged(q)
-            }),
+            &broadcast
+        } else {
+            plan
         };
-        let mut all: Vec<TaggedMatch> = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
+        let per_shard = batch_map_chunked(&self.shards, threads, 1, |shard| {
+            if self.strategy == ShardStrategy::ByRepetition && plan.is_planned() {
+                let start = shard.pass_offset as usize;
+                let own = plan.slice_passes(start..start + shard.index.passes());
+                shard.index.answer(&own, take, expired)
+            } else {
+                shard.index.answer(plan, take, expired)
+            }
+        });
+        let mut all: Vec<TaggedMatch> = Vec::new();
         for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged.into_iter().map(|t| shard.globalize(t)));
+            all.extend(tagged?.into_iter().map(|t| shard.globalize(t)));
         }
         all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
         let mut seen: FxHashSet<usize> = FxHashSet::default();
         all.retain(|t| seen.insert(t.hit.id));
-        all
+        if take == Take::First {
+            all.truncate(1);
+        }
+        Ok(all)
     }
 
-    /// `search`'s merge: every shard early-exits at its own first verified
-    /// hit; the shard minima are globalized and the `(pass, step, id)`-
-    /// minimum among them is the global first discovery — no shard ever
-    /// materializes its full match list.
-    ///
-    /// Under the `ByDataset` broadcast the shards early-exit their *probes*
-    /// against one shared plan (stage 1 runs in full once — cheaper than
-    /// `N` lazy re-enumerations from the first repetition on).
-    /// `ByRepetition` keeps the fused lazy path: its shards own disjoint
-    /// pass slices, so planning a slice in full would do strictly more
-    /// enumeration than the early-exiting probe needs.
-    fn merged_first(&self, q: &SparseVec, threads: usize) -> Option<TaggedMatch> {
-        let per_shard: Vec<Option<TaggedMatch>> =
-            if self.plan_broadcast && self.strategy == ShardStrategy::ByDataset {
-                let plan = self.broadcast_plan(q);
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.probe_plan_first_tagged(&plan)
-                })
-            } else {
-                batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    shard.index.search_first_tagged(q)
-                })
-            };
-        self.shards
-            .iter()
-            .zip(per_shard)
-            .filter_map(|(shard, first)| first.map(|t| shard.globalize(t)))
-            .min_by_key(|t| (t.pass, t.step, t.hit.id))
+    /// The undeadlined [`Take::All`] answer to `q`, as plain matches.
+    fn merged_all(&self, q: &SparseVec, threads: usize) -> Vec<Match> {
+        self.fan_out(
+            &QueryPlan::unplanned(q.clone()),
+            Take::All,
+            &|| false,
+            threads,
+        )
+        .unwrap_or_default()
+        .into_iter()
+        .map(|t| t.hit)
+        .collect()
     }
 }
 
@@ -495,7 +475,6 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             threshold: self.threshold,
             len: self.len,
             next_id: self.next_id,
-            plan_broadcast: self.plan_broadcast,
             owner: self.owner.clone(),
             shards: entries,
         };
@@ -509,8 +488,9 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
     /// Restores a deployment saved by [`ShardedIndex::save`]: reads and
     /// validates `dir/manifest.skx`, then loads every shard file it lists.
     /// Fails with a typed [`crate::persist::PersistError`] on a corrupt
-    /// manifest, a missing or corrupt shard file, or a manifest listing no
-    /// shards — never panics.
+    /// manifest, a missing or corrupt shard file, a manifest listing no
+    /// shards, or a manifest whose id maps, owner table, pass offsets or
+    /// counts disagree with the loaded shards — never panics.
     ///
     /// The fan-out/batch worker counts are runtime knobs, not index state;
     /// they reset to their defaults (one worker per core) and can be re-set
@@ -536,7 +516,7 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
                 id_map: entry.id_map.clone(),
             });
         }
-        Ok(Self {
+        let loaded = Self {
             shards,
             strategy: manifest.strategy,
             threshold: manifest.threshold,
@@ -545,113 +525,98 @@ impl<S: Shardable + crate::persist::Persist + Send + Sync> ShardedIndex<S> {
             owner: manifest.owner,
             fanout_threads: 0,
             query_threads: 0,
-            plan_broadcast: manifest.plan_broadcast,
-        })
+        };
+        loaded
+            .check_manifest()
+            .map_err(crate::persist::PersistError::Malformed)?;
+        Ok(loaded)
+    }
+}
+
+impl<S: Shardable> ShardedIndex<S> {
+    /// Checks the manifest's bookkeeping against the shards it lists — the
+    /// invariants [`ShardedIndex::build`] and the mutations maintain — so a
+    /// tampered or mismatched deployment fails to load instead of panicking
+    /// at query or mutation time:
+    ///
+    /// * `ByDataset`: every shard has an id map with exactly one entry per
+    ///   local slot, each below `next_id`; the owner table has `next_id`
+    ///   entries, each naming a shard whose id map points the local id back
+    ///   to the global id; the shards' live counts sum to `len`.
+    /// * `ByRepetition`: no shard has an id map and the owner table is
+    ///   empty; every shard holds `next_id` slots and `len` live sets; the
+    ///   pass offsets tile the passes from 0 in shard order.
+    fn check_manifest(&self) -> Result<(), &'static str> {
+        let by_dataset = self.strategy == ShardStrategy::ByDataset;
+        let mut next_pass = 0usize;
+        for shard in &self.shards {
+            let agrees = match &shard.id_map {
+                Some(map) => {
+                    by_dataset
+                        && shard.pass_offset == 0
+                        && map.len() == shard.index.slot_count()
+                        && map.iter().all(|&global| (global as usize) < self.next_id)
+                }
+                None => {
+                    !by_dataset
+                        && shard.pass_offset as usize == next_pass
+                        && shard.index.slot_count() == self.next_id
+                        && shard.index.len() == self.len
+                }
+            };
+            if !agrees {
+                return Err("a shard disagrees with the manifest");
+            }
+            next_pass += shard.index.passes();
+        }
+        let live: usize = self.shards.iter().map(|s| s.index.len()).sum();
+        let owners_agree = if by_dataset {
+            live == self.len
+                && self.owner.len() == self.next_id
+                && self
+                    .owner
+                    .iter()
+                    .enumerate()
+                    .all(|(global, &(shard, local))| {
+                        self.shards
+                            .get(shard as usize)
+                            .and_then(|s| s.id_map.as_ref())
+                            .and_then(|map| map.get(local as usize))
+                            == Some(&(global as u32))
+                    })
+        } else {
+            self.owner.is_empty()
+        };
+        if owners_agree {
+            Ok(())
+        } else {
+            Err("the owner table or live count disagrees with the shards")
+        }
     }
 }
 
 impl<S: Shardable + Send + Sync> SetSimilaritySearch for ShardedIndex<S> {
-    /// Exactly the hit the unsharded index's early-exiting `search` returns,
-    /// found without running any shard past its own first verified hit.
-    fn search(&self, q: &SparseVec) -> Option<Match> {
-        self.merged_first(q, self.fanout_threads).map(|t| t.hit)
-    }
-
     fn search_all(&self, q: &SparseVec) -> Vec<Match> {
-        self.merged_tagged(q, self.fanout_threads)
-            .into_iter()
-            .map(|t| t.hit)
-            .collect()
+        self.merged_all(q, self.fanout_threads)
     }
 
-    /// Merged tags are already the *unsharded* index's global `(pass, step)`
-    /// coordinates, so downstream consumers see coordinates indistinguishable
-    /// from the unsharded index's.
-    fn search_all_tagged(&self, q: &SparseVec) -> Vec<TaggedMatch> {
-        self.merged_tagged(q, self.fanout_threads)
-    }
-
-    fn search_first_tagged(&self, q: &SparseVec) -> Option<TaggedMatch> {
-        self.merged_first(q, self.fanout_threads)
-    }
-
-    /// Deadline-aware fan-out under the same merge protocol as
-    /// [`ShardedIndex::search_all_tagged`]: the shared expiry check is
-    /// threaded through to every shard's own
-    /// [`SetSimilaritySearch::probe_plan_tagged_deadline`] (per-repetition
-    /// granularity for LSF shards), so each shard cancels independently; if
-    /// *any* shard reports [`DeadlineExceeded`] the whole query does — a
-    /// merge over a partial shard set would silently drop matches.
-    ///
-    /// With a never-firing check the merged `Ok` value is byte-identical to
-    /// the undeadlined fan-out (same plan broadcast, same
-    /// `(pass, step, id)` sort-and-dedup).
-    fn probe_plan_tagged_deadline(
+    /// Merged tags are the *unsharded* index's global `(pass, step)`
+    /// coordinates, so downstream consumers see answers indistinguishable
+    /// from the unsharded index's — see [`ShardedIndex`]'s merge protocol.
+    fn answer(
         &self,
         plan: &QueryPlan,
+        take: Take,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        if expired() {
-            return Err(DeadlineExceeded);
-        }
-        let q = plan.query();
-        let threads = self.fanout_threads;
-        let per_shard: Vec<Result<Vec<TaggedMatch>, DeadlineExceeded>> =
-            match (self.plan_broadcast, self.strategy) {
-                (true, ShardStrategy::ByDataset) => {
-                    let plan = self.broadcast_plan(q);
-                    // Stage boundary: enumeration just ran in full once.
-                    if expired() {
-                        return Err(DeadlineExceeded);
-                    }
-                    batch_map_chunked(&self.shards, threads, 1, |shard| {
-                        shard.index.probe_plan_tagged_deadline(&plan, expired)
-                    })
-                }
-                (true, ShardStrategy::ByRepetition) => {
-                    batch_map_chunked(&self.shards, threads, 1, |shard| {
-                        shard
-                            .index
-                            .probe_plan_tagged_deadline(&shard.index.plan_query(q), expired)
-                    })
-                }
-                (false, _) => batch_map_chunked(&self.shards, threads, 1, |shard| {
-                    if expired() {
-                        Err(DeadlineExceeded)
-                    } else {
-                        Ok(shard.index.search_all_tagged(q))
-                    }
-                }),
-            };
-        let mut all: Vec<TaggedMatch> = Vec::new();
-        for (shard, tagged) in self.shards.iter().zip(per_shard) {
-            all.extend(tagged?.into_iter().map(|t| shard.globalize(t)));
-        }
-        all.sort_by_key(|t| (t.pass, t.step, t.hit.id));
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        all.retain(|t| seen.insert(t.hit.id));
-        Ok(all)
+        self.fan_out(plan, take, expired, self.fanout_threads)
     }
 
     /// Parallelizes across *queries* (the shard fan-out inside each query
     /// stays sequential to avoid nested oversubscription); results equal
     /// `queries.iter().map(|q| self.search_all(q))` regardless.
     fn search_batch(&self, queries: &[SparseVec]) -> Vec<Vec<Match>> {
-        batch_map(queries, self.query_threads, |q| {
-            self.merged_tagged(q, 1)
-                .into_iter()
-                .map(|t| t.hit)
-                .collect()
-        })
-    }
-
-    fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        batch_map(queries, self.query_threads, |q| {
-            self.merged_tagged(q, 1)
-                .into_iter()
-                .map(|t| t.hit)
-                .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
-        })
+        batch_map(queries, self.query_threads, |q| self.merged_all(q, 1))
     }
 
     /// Routes the insert to its owning shard and assigns the exact global
@@ -863,33 +828,6 @@ mod tests {
             assert_eq!(sharded.search_batch(&queries), expect, "threads={threads}");
             for q in queries.iter().take(5) {
                 assert_eq!(sharded.search_all(q), reference.search_all(q));
-            }
-        }
-    }
-
-    #[test]
-    fn plan_broadcast_modes_are_byte_identical() {
-        let (index, queries) = fixture(6);
-        for strategy in [ShardStrategy::ByRepetition, ShardStrategy::ByDataset] {
-            for shards in [1, 3, 8] {
-                let planned = ShardedIndex::build(&index, strategy, shards);
-                let fused =
-                    ShardedIndex::build(&index, strategy, shards).with_plan_broadcast(false);
-                for q in &queries {
-                    let reference = index.search_all_tagged(q);
-                    assert_eq!(
-                        planned.search_all_tagged(q),
-                        reference,
-                        "{strategy:?} shards={shards} planned"
-                    );
-                    assert_eq!(
-                        fused.search_all_tagged(q),
-                        reference,
-                        "{strategy:?} shards={shards} fused"
-                    );
-                    assert_eq!(planned.search(q), fused.search(q));
-                    assert_eq!(planned.search_first_tagged(q), index.search_first_tagged(q));
-                }
             }
         }
     }

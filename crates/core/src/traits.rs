@@ -36,7 +36,8 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// Returned by [`SetSimilaritySearch::probe_plan_tagged_deadline`] when the
+/// Returned by [`SetSimilaritySearch::answer`] (and so by
+/// [`SetSimilaritySearch::probe_plan_tagged_deadline`]) when the
 /// caller-supplied expiry check fired before the probe ran to completion.
 ///
 /// The type is deliberately empty: a deadline carries no partial answer. A
@@ -134,6 +135,25 @@ pub struct TaggedMatch {
     pub hit: Match,
 }
 
+/// How many verified matches [`SetSimilaritySearch::answer`] collects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Take {
+    /// Stop at the first verified hit — the paper's query procedure ("if we
+    /// find a sufficiently close x we return it").
+    First,
+    /// Run every pass and return every verified hit.
+    All,
+}
+
+/// The highest-similarity match of a list (the last one on ties, as
+/// [`Iterator::max_by`] picks) — the reduction behind
+/// [`SetSimilaritySearch::search_best`] and its batch form.
+fn best(matches: Vec<Match>) -> Option<Match> {
+    matches
+        .into_iter()
+        .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
+}
+
 /// Common interface for set-similarity-search structures (the paper's
 /// indexes and every baseline implement this, so experiments and joins are
 /// generic over the structure).
@@ -141,6 +161,15 @@ pub struct TaggedMatch {
 /// All structures verify candidates exactly, so a returned [`Match`] always
 /// satisfies `similarity ≥ threshold()`; randomized structures may *miss*
 /// matches with the failure probability of their analysis.
+///
+/// # One query primitive
+///
+/// `search`, the tagged searches, the `probe_plan*` stages and the deadline
+/// probe are all provided on top of one method,
+/// [`SetSimilaritySearch::answer`]. Only `search_all`, `threshold` and `len`
+/// are required; bucketed indexes implement
+/// [`SetSimilaritySearch::plan_query`] and `answer` once, with genuine
+/// `(pass, step)` discovery tags.
 ///
 /// # Examples
 ///
@@ -166,19 +195,70 @@ pub struct TaggedMatch {
 /// }
 /// ```
 pub trait SetSimilaritySearch {
+    /// The query primitive: probes `plan` pass by pass (repetitions / bands
+    /// in build order), verifies each distinct candidate once, and returns
+    /// the verified matches in first-discovery order, tagged with their
+    /// `(pass, step)` coordinates (see [`TaggedMatch`]). [`Take::First`]
+    /// stops at the first verified hit and returns at most one match;
+    /// [`Take::All`] returns every hit. Every implementation must keep the
+    /// projection exact: the hits of the undeadlined `All` answer are
+    /// `search_all(plan.query())`, element for element.
+    ///
+    /// A planned plan is probed with its precomputed keys; an unplanned one
+    /// ([`QueryPlan::unplanned`]) computes each pass's keys lazily, so a
+    /// `First` query enumerates only the passes it reaches.
+    ///
+    /// `expired` is polled before the probe and between passes; once it
+    /// fires, the structure returns [`DeadlineExceeded`] and no partial
+    /// answer. With a check that never fires the result is always `Ok`. The
+    /// check is an opaque closure (typically comparing `Instant::now()`
+    /// with a deadline on the caller's side), so this crate reads no clock:
+    /// the check decides *whether* a probe finishes, never which candidates
+    /// surface or in what order.
+    ///
+    /// The default polls once, then tags [`SetSimilaritySearch::search_all`]
+    /// as a single pass with one match per step — order-preserving, but
+    /// carrying no real probe structure. The sharding layer's exact merge
+    /// ([`crate::shard::ShardedIndex`]) needs genuine tags, so bucketed
+    /// indexes override this.
+    fn answer(
+        &self,
+        plan: &QueryPlan,
+        take: Take,
+        expired: &(dyn Fn() -> bool + Sync),
+    ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
+        if expired() {
+            return Err(DeadlineExceeded);
+        }
+        let tagged = self
+            .search_all(plan.query())
+            .into_iter()
+            .enumerate()
+            .map(|(step, hit)| TaggedMatch {
+                pass: 0,
+                step: step as u32,
+                hit,
+            });
+        Ok(match take {
+            Take::First => tagged.take(1).collect(),
+            Take::All => tagged.collect(),
+        })
+    }
+
     /// Returns some vector with Braun-Blanquet similarity at least
     /// [`SetSimilaritySearch::threshold`] to `q`, if the structure finds one.
     ///
     /// Stops at the first verified hit (the paper's query procedure: "If we
-    /// find a sufficiently close x we return it").
-    fn search(&self, q: &SparseVec) -> Option<Match>;
+    /// find a sufficiently close x we return it"): the
+    /// [`Take::First`] answer to an unplanned plan, which enumerates lazily.
+    fn search(&self, q: &SparseVec) -> Option<Match> {
+        self.search_first_tagged(q).map(|t| t.hit)
+    }
 
     /// Returns the *highest-similarity* verified candidate at or above the
     /// threshold (useful when several vectors pass).
     fn search_best(&self, q: &SparseVec) -> Option<Match> {
-        self.search_all(q)
-            .into_iter()
-            .max_by(|a, b| a.similarity.total_cmp(&b.similarity))
+        best(self.search_all(q))
     }
 
     /// All distinct vectors the structure can verify at or above the
@@ -197,37 +277,15 @@ pub trait SetSimilaritySearch {
     /// [`SetSimilaritySearch::search_all`] with discovery tags: the same
     /// matches in the same order, each annotated with the `(pass, step)`
     /// coordinates of its candidate's first discovery (see [`TaggedMatch`]).
-    ///
-    /// The projection `search_all_tagged(q)[i].hit == search_all(q)[i]` must
-    /// hold for every implementation. The default implementation tags the
-    /// whole structure as a single pass with one match per step — order-
-    /// preserving, but carrying no real probe structure. Index structures
-    /// override it with genuine `(repetition, filter)` / `(band, bucket)`
-    /// coordinates; the sharding layer's exact-merge guarantee
-    /// ([`crate::shard::ShardedIndex`]) only holds for such genuine tags.
     fn search_all_tagged(&self, q: &SparseVec) -> Vec<TaggedMatch> {
-        self.search_all(q)
-            .into_iter()
-            .enumerate()
-            .map(|(step, hit)| TaggedMatch {
-                pass: 0,
-                step: step as u32,
-                hit,
-            })
-            .collect()
+        self.probe_plan_tagged(&QueryPlan::unplanned(q.clone()))
     }
 
-    /// The tagged analogue of [`SetSimilaritySearch::search`]: the first
-    /// element of [`SetSimilaritySearch::search_all_tagged`], i.e. the
-    /// verified match whose discovery coordinate `(pass, step, id)` is
-    /// minimal.
-    ///
-    /// The default implementation materializes the full tagged list; index
-    /// structures override it with a genuinely early-exiting probe (stop at
-    /// the first verified hit), which is what lets the sharding layer answer
-    /// `search` without running every shard to completion.
+    /// The tagged analogue of [`SetSimilaritySearch::search`]: the verified
+    /// match whose discovery coordinate `(pass, step, id)` is minimal, found
+    /// by an early-exiting probe.
     fn search_first_tagged(&self, q: &SparseVec) -> Option<TaggedMatch> {
-        self.search_all_tagged(q).into_iter().next()
+        self.probe_plan_first_tagged(&QueryPlan::unplanned(q.clone()))
     }
 
     /// Stage 1 of the enumerate→probe→verify pipeline: derives a reusable
@@ -235,8 +293,8 @@ pub trait SetSimilaritySearch {
     /// interned bucket keys the probe stage will look up, in enumeration
     /// order.
     ///
-    /// **Contract**: probing the plan reproduces the fused search
-    /// byte-identically,
+    /// **Contract**: probing the plan reproduces the search on the
+    /// unplanned query byte-identically,
     /// `self.probe_plan_tagged(&self.plan_query(q)) == self.search_all_tagged(q)`
     /// — for every implementation (`tests/plan_equivalence.rs` pins all
     /// index types). Planning pays the full enumeration up front (no
@@ -244,11 +302,8 @@ pub trait SetSimilaritySearch {
     /// the sharding layer enumerates once and ships the same plan to every
     /// dataset shard instead of re-enumerating per shard.
     ///
-    /// The default implementation returns an *unplanned* plan (query only);
-    /// the default probe stages then fall back to the fused path, so
-    /// structures without a bucketed probe (brute force, prefix filtering)
-    /// satisfy the contract with no override. Index structures override this
-    /// together with [`SetSimilaritySearch::probe_plan_tagged`].
+    /// The default returns an *unplanned* plan (query only), which the
+    /// default [`SetSimilaritySearch::answer`] serves from `search_all`.
     ///
     /// # Examples
     ///
@@ -268,7 +323,7 @@ pub trait SetSimilaritySearch {
     /// );
     /// let q = correlated_query(data.vector(5), &profile, 0.8, &mut rng);
     /// let plan = index.plan_query(&q);
-    /// // One enumeration, any number of probes — always the fused answer.
+    /// // One enumeration, any number of probes — always the same answer.
     /// assert_eq!(index.probe_plan(&plan), index.search_all(&q));
     /// assert_eq!(index.probe_plan_tagged(&plan), index.search_all_tagged(&q));
     /// ```
@@ -276,14 +331,11 @@ pub trait SetSimilaritySearch {
         QueryPlan::unplanned(q.clone())
     }
 
-    /// Stages 2+3 of the pipeline: probes the inverted index with a
-    /// precomputed [`QueryPlan`] and verifies the surfaced candidates —
-    /// exactly `search_all(plan.query())`, without re-enumerating the
-    /// query's filters when the plan is planned.
-    ///
-    /// Provided in terms of [`SetSimilaritySearch::probe_plan_tagged`]
-    /// (the tag projection), so implementations override only the tagged
-    /// variant.
+    /// Stages 2+3 of the pipeline: probes with a precomputed [`QueryPlan`]
+    /// and verifies the surfaced candidates — exactly
+    /// `search_all(plan.query())`, without re-enumerating the query's
+    /// filters when the plan is planned. The tag projection of
+    /// [`SetSimilaritySearch::probe_plan_tagged`].
     fn probe_plan(&self, plan: &QueryPlan) -> Vec<Match> {
         self.probe_plan_tagged(plan)
             .into_iter()
@@ -291,57 +343,38 @@ pub trait SetSimilaritySearch {
             .collect()
     }
 
-    /// The tagged probe stage: consumes a [`QueryPlan`] and returns exactly
-    /// `search_all_tagged(plan.query())`. For a planned plan, overriding
-    /// implementations touch only the inverted index (bucket lookups +
-    /// verification) — never the enumeration engine; for an unplanned plan
-    /// they fall back to the fused path. The default implementation is that
-    /// fallback.
+    /// The tagged probe stage: the undeadlined [`Take::All`] answer to
+    /// `plan`, exactly `search_all_tagged(plan.query())`.
     fn probe_plan_tagged(&self, plan: &QueryPlan) -> Vec<TaggedMatch> {
-        self.search_all_tagged(plan.query())
+        // A check that never fires cannot produce `Err`.
+        self.answer(plan, Take::All, &|| false).unwrap_or_default()
     }
 
-    /// The early-exiting probe stage: exactly
-    /// `search_first_tagged(plan.query())`, stopping at the first verified
-    /// hit without re-enumerating when the plan is planned.
+    /// The early-exiting probe stage: the undeadlined [`Take::First`]
+    /// answer to `plan`, exactly `search_first_tagged(plan.query())`.
     fn probe_plan_first_tagged(&self, plan: &QueryPlan) -> Option<TaggedMatch> {
-        self.probe_plan_tagged(plan).into_iter().next()
+        self.answer(plan, Take::First, &|| false)
+            .unwrap_or_default()
+            .into_iter()
+            .next()
     }
 
-    /// Deadline-aware [`SetSimilaritySearch::probe_plan_tagged`]: polls the
-    /// caller-supplied `expired` check at the structure's natural
-    /// cancellation points and abandons the probe with
-    /// [`DeadlineExceeded`] as soon as it fires.
-    ///
+    /// Deadline-aware [`SetSimilaritySearch::probe_plan_tagged`]: the
+    /// [`Take::All`] answer to `plan` under the caller's `expired` check.
     /// This is the core hook behind the query service's per-request
-    /// deadlines. The check is an opaque closure (typically comparing
-    /// `Instant::now()` against an absolute deadline on the *caller's*
-    /// side), which keeps this crate itself wall-clock-free: no ambient
-    /// time source is read on the query path, and the check can only decide
-    /// *whether* the probe finishes — never which candidates surface or in
-    /// what order.
+    /// deadlines.
     ///
-    /// **Contract** (pinned by `tests/service_equivalence.rs` and the core
-    /// unit tests): with a check that never fires, the `Ok` value is
-    /// byte-identical to [`SetSimilaritySearch::probe_plan_tagged`]; with a
-    /// check that has already fired, the structure returns `Err` without
-    /// probing. There is no partial-result mode.
-    ///
-    /// The default polls once up front and then runs the full probe —
-    /// correct for every structure, coarse for long probes. [`crate::LsfIndex`]
-    /// overrides it to re-poll between repetitions (the pass boundary of the
-    /// enumerate→probe→verify pipeline), and [`crate::shard::ShardedIndex`]
-    /// threads the same check through its shard fan-out so each shard
-    /// cancels independently.
+    /// **Contract** (pinned by `tests/plan_equivalence.rs`,
+    /// `tests/service_equivalence.rs` and the core unit tests): with a
+    /// check that never fires, the `Ok` value is byte-identical to
+    /// [`SetSimilaritySearch::probe_plan_tagged`]; once the check has fired,
+    /// the result is `Err`. There is no partial-result mode.
     fn probe_plan_tagged_deadline(
         &self,
         plan: &QueryPlan,
         expired: &(dyn Fn() -> bool + Sync),
     ) -> Result<Vec<TaggedMatch>, DeadlineExceeded> {
-        if expired() {
-            return Err(DeadlineExceeded);
-        }
-        Ok(self.probe_plan_tagged(plan))
+        self.answer(plan, Take::All, expired)
     }
 
     /// Answers a batch of queries: element `i` of the result is exactly
@@ -384,11 +417,11 @@ pub trait SetSimilaritySearch {
         queries.iter().map(|q| self.search_all(q)).collect()
     }
 
-    /// Batch [`SetSimilaritySearch::search_best`]: element `i` of the result
-    /// is exactly `self.search_best(&queries[i])`. Same override and
-    /// identical-results guarantees as [`SetSimilaritySearch::search_batch`].
+    /// Batch [`SetSimilaritySearch::search_best`]: the maximum of each
+    /// [`SetSimilaritySearch::search_batch`] answer, so it runs on the same
+    /// worker pool with the same identical-results guarantee.
     fn search_batch_best(&self, queries: &[SparseVec]) -> Vec<Option<Match>> {
-        queries.iter().map(|q| self.search_best(q)).collect()
+        self.search_batch(queries).into_iter().map(best).collect()
     }
 
     /// Incrementally indexes `set`, returning its stable [`SetId`].

@@ -16,9 +16,12 @@
 //! [`ErrorKind::DeadlineExceeded`] *without any enumeration* — pinned via
 //! `engine::enumeration_count` in `tests/service_deadline.rs`), and
 //! throughout the probe via
-//! [`SetSimilaritySearch::probe_plan_tagged_deadline`], which LSF indexes
-//! poll between repetitions. Expired queries return the typed error and
-//! **no partial answer**.
+//! [`SetSimilaritySearch::probe_plan_tagged_deadline`] — the trait's single
+//! query primitive [`SetSimilaritySearch::answer`] with the request's
+//! expiry check, which the bucketed indexes poll between passes
+//! (repetitions / bands) and the sharded index threads through every
+//! shard. Expired queries return the typed error and **no partial
+//! answer**.
 //!
 //! This module is the crate's only wall-clock reader (the private `now`
 //! helper below, the single audited clock site) and it

@@ -1,9 +1,9 @@
 //! The acceptance criterion of the plan pipeline, asserted with the counting
 //! hook `skewsearch::core::enumeration_count`: a `ByDataset`-sharded index
 //! performs **exactly one** `F(q)` enumeration per query — `R` calls into the
-//! enumeration engine, one per repetition — regardless of shard count, while
-//! the legacy fused mode (`with_plan_broadcast(false)`) pays `shards × R`.
-//! The join layer's distinct-query dedup is counted the same way.
+//! enumeration engine, one per repetition — regardless of shard count, and
+//! the unsharded early-exiting `search` enumerates only the repetitions it
+//! reaches. The join layer's distinct-query dedup is counted the same way.
 //!
 //! The counter is process-global, so everything here lives in **one** test
 //! function: integration tests in one binary run on concurrent threads, and
@@ -56,6 +56,20 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
         assert_eq!(delta, REPS as u64, "unsharded baseline");
     }
 
+    // The unsharded `search` stays lazy: it enumerates repetition by
+    // repetition and stops at the repetition of its first hit, so a
+    // self-query costs exactly the repetitions it probed — fewer than R.
+    let self_query = ds.vector(0);
+    let (hit, stats) = index.search_with_stats(self_query);
+    let (got, delta) = enumerations_during(|| index.search(self_query));
+    assert_eq!(got, hit);
+    assert!(got.is_some(), "a self-query finds a match");
+    assert_eq!(delta, stats.repetitions_probed as u64, "search is lazy");
+    assert!(
+        delta < REPS as u64,
+        "search stopped before the last repetition"
+    );
+
     for shards in [1usize, 2, 4, 8] {
         // The tentpole claim: ByDataset plans once and broadcasts — the
         // enumeration count per query does not depend on the shard count.
@@ -78,21 +92,6 @@ fn by_dataset_enumerates_each_query_exactly_once_at_any_shard_count() {
             let (got, delta) = enumerations_during(|| by_rep.search_all(q));
             assert_eq!(&got, expect, "ByRepetition shards={shards}");
             assert_eq!(delta, REPS as u64, "ByRepetition shards={shards}");
-        }
-
-        // The legacy fused mode re-pays the enumeration per dataset shard —
-        // the documented N× tax the pipeline removes (and the proof the
-        // counting hook actually detects it).
-        let legacy = ShardedIndex::build(&index, ShardStrategy::ByDataset, shards)
-            .with_plan_broadcast(false);
-        for (q, expect) in queries.iter().zip(&expected).take(2) {
-            let (got, delta) = enumerations_during(|| legacy.search_all(q));
-            assert_eq!(&got, expect, "legacy shards={shards}");
-            assert_eq!(
-                delta,
-                (shards * REPS) as u64,
-                "fused mode pays shards×R, shards={shards}"
-            );
         }
     }
 

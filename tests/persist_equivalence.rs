@@ -6,18 +6,21 @@
 //! strategies.
 //!
 //! A second block pins the failure contract: truncated files, wrong magic,
-//! unsupported versions, mismatched container kinds, and flipped payload
-//! bytes must all surface as typed [`PersistError`]s — never panics, never a
+//! unsupported versions, mismatched container kinds, flipped payload bytes,
+//! and sharded manifests that disagree with their shards (an owner naming a
+//! missing shard, a truncated id map, a watermark past the shards' slots)
+//! must all surface as typed [`PersistError`]s — never panics, never a
 //! silently wrong index. A proptest block randomizes the dataset and query
 //! stream over the correlated index round trip.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
+use skewsearch::core::persist::{kind, read_container, write_container};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, Persist, PersistError, Repetitions, SetSimilaritySearch, ShardStrategy,
-    ShardedIndex,
+    IndexOptions, LsfIndex, Persist, PersistError, Repetitions, SetSimilaritySearch, ShardManifest,
+    ShardStrategy, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset, VectorSampler};
 use skewsearch::join::similarity_join;
@@ -495,6 +498,65 @@ fn manifest_missing_shard_file_is_io_error() {
     assert!(matches!(
         ShardedIndex::<CorrelatedIndex>::load(&dir),
         Err(PersistError::Io(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Saves a two-shard deployment, rewrites its manifest with `tamper` under a
+/// valid checksum, and returns the deployment directory.
+fn tampered_deployment(
+    label: &str,
+    strategy: ShardStrategy,
+    tamper: impl FnOnce(&mut ShardManifest),
+) -> PathBuf {
+    let (ds, profile, _) = fixture(120, SEED ^ 20);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 21);
+    let params = CorrelatedParams::new(ALPHA).unwrap().with_options(opts(4));
+    let index = CorrelatedIndex::build(&ds, &profile, params, &mut rng);
+    let dir = scratch(label);
+    ShardedIndex::build(&index, strategy, 2).save(&dir).unwrap();
+    let path = dir.join("manifest.skx");
+    let payload = read_container(&path, kind::MANIFEST).unwrap();
+    let mut manifest = ShardManifest::decode(&payload).unwrap();
+    tamper(&mut manifest);
+    write_container(&path, kind::MANIFEST, &manifest.encode()).unwrap();
+    dir
+}
+
+#[test]
+fn manifest_owner_naming_a_missing_shard_is_malformed() {
+    let dir = tampered_deployment("owner", ShardStrategy::ByDataset, |m| {
+        m.owner[0] = (9, 0);
+    });
+    assert!(matches!(
+        ShardedIndex::<CorrelatedIndex>::load(&dir),
+        Err(PersistError::Malformed(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_truncated_id_map_is_malformed() {
+    let dir = tampered_deployment("id_map", ShardStrategy::ByDataset, |m| {
+        m.shards[0].id_map.as_mut().unwrap().truncate(1);
+    });
+    assert!(matches!(
+        ShardedIndex::<CorrelatedIndex>::load(&dir),
+        Err(PersistError::Malformed(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_watermark_past_the_pass_slices_is_malformed() {
+    // A `ByRepetition` shard holds every slot, so a watermark that disagrees
+    // with the shards would trip the insert path's id check later.
+    let dir = tampered_deployment("next_id", ShardStrategy::ByRepetition, |m| {
+        m.next_id += 1;
+    });
+    assert!(matches!(
+        ShardedIndex::<CorrelatedIndex>::load(&dir),
+        Err(PersistError::Malformed(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,20 +9,23 @@
 //! dataset, correlation target, and repetition count. Degenerate cases ride
 //! along everywhere: the empty query (a plan with all-empty key lists), the
 //! *unplanned* plan (fused fallback), and plan reuse (probing must not
-//! consume the plan). A final test drives plans through the sharded
-//! broadcast at the worker counts of `SKEWSEARCH_TEST_THREADS` (CI sets it
-//! to `nproc` on multicore hosts — see `.github/workflows/ci.yml`).
+//! consume the plan). Every planned query also checks the all-or-nothing
+//! deadline contract of `probe_plan_tagged_deadline`. A final test drives
+//! plans through the sharded broadcast at the worker counts of
+//! `SKEWSEARCH_TEST_THREADS` (CI sets it to `nproc` on multicore hosts — see
+//! `.github/workflows/ci.yml`).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use skewsearch::baselines::{ChosenPathIndex, ChosenPathParams, MinHashLsh, MinHashParams};
 use skewsearch::core::{
     AdversarialIndex, AdversarialParams, CorrelatedIndex, CorrelatedParams, CorrelatedScheme,
-    IndexOptions, LsfIndex, QueryPlan, Repetitions, SetSimilaritySearch, ShardStrategy,
-    ShardedIndex,
+    DeadlineExceeded, IndexOptions, LsfIndex, QueryPlan, Repetitions, SetSimilaritySearch,
+    ShardStrategy, ShardedIndex,
 };
 use skewsearch::datagen::{correlated_query, BernoulliProfile, Dataset};
 use skewsearch::sets::SparseVec;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
 use common::thread_counts;
@@ -48,6 +51,36 @@ fn opts(reps: usize) -> IndexOptions {
     }
 }
 
+/// The deadline contract, all or nothing: a check that never fires answers
+/// exactly like the undeadlined probe, a check that has already fired
+/// yields `Err`, and a check that fires on its second poll yields `Err` as
+/// soon as it has been polled that often — never a partial list.
+fn assert_deadline_contract<I: SetSimilaritySearch>(index: &I, plan: &QueryPlan, ctx: &str) {
+    let full = index.probe_plan_tagged(plan);
+    assert_eq!(
+        index.probe_plan_tagged_deadline(plan, &|| false),
+        Ok(full.clone()),
+        "{ctx} never fires"
+    );
+    assert_eq!(
+        index.probe_plan_tagged_deadline(plan, &|| true),
+        Err(DeadlineExceeded),
+        "{ctx} already fired"
+    );
+    let polls = AtomicUsize::new(0);
+    let second =
+        index.probe_plan_tagged_deadline(plan, &|| polls.fetch_add(1, Ordering::SeqCst) >= 1);
+    if polls.load(Ordering::SeqCst) >= 2 {
+        assert_eq!(
+            second,
+            Err(DeadlineExceeded),
+            "{ctx} fired on the second poll"
+        );
+    } else {
+        assert_eq!(second, Ok(full), "{ctx} polled once, so it never fired");
+    }
+}
+
 /// The pipeline contract, entry point by entry point: planned probes, fused
 /// searches, and the unplanned fallback all agree byte-for-byte.
 fn assert_plan_equivalent<I: SetSimilaritySearch>(index: &I, queries: &[SparseVec], label: &str) {
@@ -66,6 +99,7 @@ fn assert_plan_equivalent<I: SetSimilaritySearch>(index: &I, queries: &[SparseVe
             index.search_first_tagged(q),
             "{ctx}"
         );
+        assert_deadline_contract(index, &plan, &ctx);
         // A plan is not consumed by probing: the second probe must agree.
         assert_eq!(index.probe_plan(&plan), index.probe_plan(&plan), "{ctx}");
         // Unplanned plans degrade to the fused path, never to a wrong answer.
@@ -183,6 +217,11 @@ fn broadcast_probes_match_at_configured_worker_counts() {
                     sharded.search_all_tagged(q),
                     index.search_all_tagged(q),
                     "{strategy:?} threads={threads} q={i}"
+                );
+                assert_deadline_contract(
+                    &sharded,
+                    &sharded.plan_query(q),
+                    &format!("{strategy:?} threads={threads} q={i}"),
                 );
             }
             assert_eq!(
