@@ -1,7 +1,8 @@
 //! The compressed-postings trade-off, measured: bytes/set resident for a
 //! `FxHashMap<u64, Vec<u32>>` bucket map vs the delta+varint
 //! [`CompressedPostings`] arena over the same inverted index, and the probe
-//! hot path's walk latency over each substrate.
+//! hot path's walk latency over each substrate, plus the key lookup alone
+//! against an arena shaped like an index repetition's.
 //!
 //! The budget this bench polices (ISSUE 9 acceptance): on skewed data at
 //! n = 100k, the compressed substrate must hold at least a 2× bytes/set
@@ -18,10 +19,15 @@ use skewsearch_core::{
     CompressedPostings, CorrelatedIndex, CorrelatedParams, IndexOptions, PostingsEncoder,
     Repetitions, SetSimilaritySearch,
 };
-use skewsearch_hashing::FxHashMap;
+use skewsearch_hashing::{mix::splitmix64, FxHashMap};
 
 const N: usize = 100_000;
 const PROBES: usize = 512;
+/// Dimensions per set keyed into the lookup arena.
+const LOOKUP_DIMS: usize = 8;
+/// Keys per lookup batch, and how many of them hit (one in `LOOKUP_HIT_EVERY`).
+const LOOKUP_BATCH: usize = 2048;
+const LOOKUP_HIT_EVERY: usize = 16;
 
 /// The inverted dim → ids index both substrates store: ids ascend within
 /// each dimension because vectors are scanned in id order.
@@ -69,6 +75,54 @@ fn probe_plan(map: &FxHashMap<u64, Vec<u32>>) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(0x9057);
     (0..PROBES)
         .map(|_| keys[rng.random_range(0..keys.len())])
+        .collect()
+}
+
+/// The `(set, dimension)` composite key the lookup arena stores, mixed to
+/// 64 uniform bits the way the index interns its bucket keys. `splitmix64`
+/// is a bijection, so distinct pairs never collide.
+fn filter_key(dim: u32, id: u32) -> u64 {
+    splitmix64(((dim as u64) << 32) | id as u64)
+}
+
+/// An arena shaped like one index repetition under skew: uniform 64-bit
+/// keys, nearly every bucket a singleton, and a key array larger than the
+/// core-private caches — one key per set and each of its first
+/// `LOOKUP_DIMS` dimensions.
+fn lookup_arena(ds: &skewsearch_datagen::Dataset) -> CompressedPostings {
+    let mut pairs: Vec<(u64, u32)> = ds
+        .vectors()
+        .iter()
+        .enumerate()
+        .flat_map(|(id, v)| {
+            v.dims()
+                .iter()
+                .take(LOOKUP_DIMS)
+                .map(move |&dim| (filter_key(dim, id as u32), id as u32))
+        })
+        .collect();
+    pairs.sort_unstable();
+    let mut enc = PostingsEncoder::new();
+    for (key, id) in pairs {
+        enc.push(key, id);
+    }
+    enc.finish()
+}
+
+/// A probe batch as a query issues it: mostly misses (composite keys of
+/// dimensions no set has, hence never stored), with one stored key in
+/// every `LOOKUP_HIT_EVERY`.
+fn lookup_batch(arena: &CompressedPostings) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(0x100C);
+    let keys = arena.keys();
+    (0..LOOKUP_BATCH)
+        .map(|i| {
+            if i % LOOKUP_HIT_EVERY == 0 {
+                keys[rng.random_range(0..keys.len())]
+            } else {
+                filter_key(u32::MAX - rng.random_range(0..1024u32), rng.random())
+            }
+        })
         .collect()
 }
 
@@ -124,6 +178,34 @@ fn bench_postings(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    // Key lookup alone, the probe stage's cost under skew: history only,
+    // no budget attached.
+    let arena = lookup_arena(&ds);
+    let batch = lookup_batch(&arena);
+    let hits = batch.iter().filter(|&&k| arena.get(k).is_some()).count();
+    eprintln!(
+        "postings_lookup_n100k_skewed: {} keys, {} B resident; batch of {} keys, {} hits",
+        arena.bucket_count(),
+        arena.heap_bytes(),
+        batch.len(),
+        hits,
+    );
+    let mut g = c.benchmark_group("postings_lookup_n100k_skewed");
+    g.bench_function("compressed_get", |b| {
+        b.iter(|| {
+            let mut acc = 0usize;
+            for key in &batch {
+                if let Some(cursor) = arena.get(*key) {
+                    acc += cursor.count();
+                }
+            }
+            black_box(acc)
+        })
+    });
+    g.finish();
+    // Not resident during the index build below.
+    drop(arena);
 
     // The same budget through the full index: a real LsfIndex-backed build
     // at a scale the bench harness can afford, reporting the accounted

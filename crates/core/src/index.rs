@@ -200,8 +200,8 @@ fn probe_pass_keys(
             }
         }
         if let Some(bucket) = rep.delta.get(key) {
-            stats.candidates += bucket.len();
             for &id in bucket {
+                stats.candidates += 1;
                 if seen.insert(id) {
                     stats.verified += 1;
                     if !visit(pass, step as u32, id) {
@@ -692,7 +692,8 @@ impl<S: ThresholdScheme> LsfIndex<S> {
 
     /// Resident heap bytes of this index by role — the accounting behind
     /// the memory-diet target. `posting_bytes` is exact for the compressed
-    /// base segments (three flat arrays, measured by capacity) and a
+    /// base segments (keys, offsets, arena and the derived radix key
+    /// directory, measured by capacity) and a
     /// load-factor-aware estimate for the uncompressed delta maps;
     /// `aux_bytes` covers hash coefficients, interner tables, and the
     /// tombstone bitmap. Deterministic for a deterministic build — which

@@ -607,6 +607,7 @@ pub fn read_postings(
                 PostingsError::KeyOrder => "postings keys not strictly ascending",
                 PostingsError::OffsetTable => "postings offset table inconsistent",
                 PostingsError::IdOutOfRange => "postings id outside slot range",
+                PostingsError::KeyCount => "postings key count exceeds the directory range",
             })
         },
     )

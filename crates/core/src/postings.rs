@@ -8,13 +8,22 @@
 //! dominate resident memory. This module replaces that representation for
 //! the *immutable* base segment with three flat arrays:
 //!
-//! * `keys` — the bucket keys, strictly ascending (looked up by binary
-//!   search);
+//! * `keys` — the bucket keys, strictly ascending;
 //! * `offsets` — `keys.len() + 1` byte offsets into the arena, so bucket
 //!   `i` occupies `arena[offsets[i]..offsets[i + 1]]`;
 //! * `arena` — one contiguous byte stream holding every bucket,
 //!   delta-encoded (first id absolute, then successive gaps, which are
 //!   strictly positive because ids ascend) and LEB128-varint-compressed.
+//!
+//! A fourth array, the **radix directory**, is derived from `keys` whenever
+//! a map is constructed and is never persisted: `2^b + 1` `u32` boundaries,
+//! where `dir[j]..dir[j + 1]` is the run of keys whose top `b` bits equal
+//! `j`, and `b` is chosen from the key count so a slot holds about 32
+//! keys. A lookup reads one slot and binary-searches only that short run
+//! instead of the whole key array, which at index scale is far larger than
+//! the last-level cache. The interned bucket keys are uniform hashes, so
+//! runs stay short; clustered keys only lengthen a run, never change an
+//! answer.
 //!
 //! Under skew the popular buckets are long and their id gaps small, so most
 //! postings compress to one or two bytes — the bytes-per-posting currency
@@ -50,6 +59,9 @@ pub enum PostingsError {
     OffsetTable,
     /// A decoded id lies outside the permitted `min_id..n_slots` range.
     IdOutOfRange,
+    /// More bucket keys than the radix directory's `u32` boundaries can
+    /// index.
+    KeyCount,
 }
 
 impl std::fmt::Display for PostingsError {
@@ -61,6 +73,7 @@ impl std::fmt::Display for PostingsError {
             PostingsError::KeyOrder => write!(f, "bucket keys not strictly ascending"),
             PostingsError::OffsetTable => write!(f, "bucket offset table inconsistent"),
             PostingsError::IdOutOfRange => write!(f, "posting id outside the slot range"),
+            PostingsError::KeyCount => write!(f, "more bucket keys than a u32 directory indexes"),
         }
     }
 }
@@ -107,9 +120,10 @@ fn get_varint_strict(bytes: &[u8]) -> Result<(u32, usize), PostingsError> {
 /// layout). The base-segment storage of every [`crate::LsfIndex`]
 /// repetition.
 ///
-/// Lookups ([`CompressedPostings::get`]) binary-search the key array and
-/// return a streaming [`PostingsCursor`] over the bucket's block; no bucket
-/// is ever materialized. Construction goes through [`PostingsEncoder`]
+/// Lookups ([`CompressedPostings::get`]) read one radix-directory slot,
+/// binary-search that slot's short run of keys, and return a streaming
+/// [`PostingsCursor`] over the bucket's block; no bucket is ever
+/// materialized. Construction goes through [`PostingsEncoder`]
 /// (trusted, build/compact) or [`CompressedPostings::from_parts`]
 /// (untrusted, persistence).
 ///
@@ -130,10 +144,15 @@ fn get_varint_strict(bytes: &[u8]) -> Result<(u32, usize), PostingsError> {
 /// assert_eq!(ids, vec![3, 4, 1000]);
 /// assert!(postings.get(8).is_none());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedPostings {
     /// Bucket keys, strictly ascending.
     keys: Vec<u64>,
+    /// Radix directory over `keys` (derived, never persisted): the keys
+    /// whose top `dir_bits` bits equal `j` are `keys[dir[j]..dir[j + 1]]`.
+    dir: Vec<u32>,
+    /// Key bits the directory indexes (at most 32).
+    dir_bits: u32,
     /// `keys.len() + 1` byte offsets into `arena`; bucket `i` is
     /// `arena[offsets[i] as usize..offsets[i + 1] as usize]`.
     offsets: Vec<u64>,
@@ -148,8 +167,11 @@ pub struct CompressedPostings {
 impl CompressedPostings {
     /// The empty posting map (no keys, no arena).
     pub fn new() -> Self {
+        let (dir_bits, dir) = build_directory(&[], 0);
         Self {
             keys: Vec::new(),
+            dir,
+            dir_bits,
             offsets: vec![0],
             arena: Vec::new(),
             postings: 0,
@@ -173,6 +195,7 @@ impl CompressedPostings {
         if keys.windows(2).any(|w| w[0] >= w[1]) {
             return Err(PostingsError::KeyOrder);
         }
+        let key_count = u32::try_from(keys.len()).map_err(|_| PostingsError::KeyCount)?;
         let expected_len = keys
             .len()
             .checked_add(1)
@@ -216,8 +239,11 @@ impl CompressedPostings {
             postings += len;
             max_bucket = max_bucket.max(len);
         }
+        let (dir_bits, dir) = build_directory(&keys, key_count);
         Ok(Self {
             keys,
+            dir,
+            dir_bits,
             offsets,
             arena,
             postings,
@@ -226,10 +252,14 @@ impl CompressedPostings {
     }
 
     /// The streaming cursor over `key`'s bucket, or `None` when the key has
-    /// no bucket. The probe hot path: one binary search, zero allocation.
+    /// no bucket. The probe hot path: one directory read, a binary search
+    /// over that slot's short run of keys, zero allocation.
     #[inline]
     pub fn get(&self, key: u64) -> Option<PostingsCursor<'_>> {
-        let i = self.keys.binary_search(&key).ok()?;
+        let slot = directory_slot(key, self.dir_bits);
+        let lo = *self.dir.get(slot)? as usize;
+        let hi = *self.dir.get(slot + 1)? as usize;
+        let i = lo + self.keys.get(lo..hi)?.binary_search(&key).ok()?;
         let start = *self.offsets.get(i)? as usize;
         let end = *self.offsets.get(i + 1)? as usize;
         Some(PostingsCursor::new(self.arena.get(start..end)?))
@@ -267,11 +297,12 @@ impl CompressedPostings {
         self.keys.is_empty()
     }
 
-    /// Heap bytes resident in this structure (keys + offsets + arena,
-    /// by capacity) — the posting-side term of
+    /// Heap bytes resident in this structure (keys + directory + offsets +
+    /// arena, by capacity) — the posting-side term of
     /// [`crate::traits::MemoryStats`].
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.dir.capacity() * std::mem::size_of::<u32>()
             + self.offsets.capacity() * std::mem::size_of::<u64>()
             + self.arena.capacity()
     }
@@ -290,6 +321,53 @@ impl CompressedPostings {
     pub fn arena(&self) -> &[u8] {
         &self.arena
     }
+}
+
+impl Default for CompressedPostings {
+    /// The empty posting map — the same value as
+    /// [`CompressedPostings::new`].
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Target number of keys per radix-directory slot: the directory costs
+/// 4 bytes per slot, well under 1% of the 16 bytes per key that `keys` and
+/// `offsets` already hold, while a slot's run spans only a few cache
+/// lines.
+const KEYS_PER_SLOT: u32 = 32;
+
+/// Directory bits for `key_count` keys: the largest `b` with
+/// `2^b * KEYS_PER_SLOT <= key_count` (0 for small maps), so a slot holds
+/// between `KEYS_PER_SLOT` and twice that many keys on uniform keys.
+/// Never more than 27, well inside the 32 bits `directory_slot` accepts.
+fn directory_bits(key_count: u32) -> u32 {
+    (key_count / KEYS_PER_SLOT).checked_ilog2().unwrap_or(0)
+}
+
+/// The directory slot of `key`: its top `bits` bits (`bits <= 32`). Split
+/// into two shifts so `bits == 0` maps every key to slot 0 without a
+/// 64-bit shift.
+#[inline]
+fn directory_slot(key: u64, bits: u32) -> usize {
+    ((key >> 32) >> (32 - bits)) as usize
+}
+
+/// Builds the radix directory over strictly ascending `keys`, of which
+/// there are `key_count`: `2^b + 1` boundaries where `dir[j]` is the index
+/// of the first key whose slot is `>= j`. Returns `(b, dir)`.
+fn build_directory(keys: &[u64], key_count: u32) -> (u32, Vec<u32>) {
+    let bits = directory_bits(key_count);
+    let slots = 1usize << bits;
+    let mut dir = Vec::with_capacity(slots + 1);
+    for (i, &key) in (0..key_count).zip(keys) {
+        let slot = directory_slot(key, bits);
+        while dir.len() <= slot {
+            dir.push(i);
+        }
+    }
+    dir.resize(slots + 1, key_count);
+    (bits, dir)
 }
 
 /// Zero-allocation streaming decoder over one bucket's arena block: yields
@@ -369,6 +447,8 @@ impl Iterator for PostingsCursor<'_> {
 #[derive(Debug, Default)]
 pub struct PostingsEncoder {
     keys: Vec<u64>,
+    /// `keys.len()`, kept as the `u32` the radix directory indexes by.
+    key_count: u32,
     offsets: Vec<u64>,
     arena: Vec<u8>,
     postings: usize,
@@ -406,8 +486,13 @@ impl PostingsEncoder {
                     last.is_none_or(|&l| l < key),
                     "bucket keys must be pushed in ascending order"
                 );
+                assert!(
+                    self.key_count < u32::MAX,
+                    "a posting map holds at most u32::MAX buckets"
+                );
                 self.close_bucket();
                 self.keys.push(key);
+                self.key_count += 1;
                 put_varint(&mut self.arena, id);
                 self.run = 1;
             }
@@ -434,8 +519,11 @@ impl PostingsEncoder {
         offsets.extend_from_slice(&self.offsets);
         self.keys.shrink_to_fit();
         self.arena.shrink_to_fit();
+        let (dir_bits, dir) = build_directory(&self.keys, self.key_count);
         CompressedPostings {
             keys: self.keys,
+            dir,
+            dir_bits,
             offsets,
             arena: self.arena,
             postings: self.postings,
@@ -648,6 +736,36 @@ mod tests {
         put_varint(&mut block, u32::MAX);
         let ids: Vec<u32> = PostingsCursor::new(&block).collect();
         assert_eq!(ids, vec![5]);
+    }
+
+    #[test]
+    fn directory_grows_one_bit_per_doubling() {
+        for (count, bits) in [
+            (0, 0),
+            (1, 0),
+            (63, 0),
+            (64, 1),
+            (127, 1),
+            (128, 2),
+            (4096, 7),
+            (u32::MAX, 26),
+        ] {
+            assert_eq!(directory_bits(count), bits, "{count} keys");
+        }
+        // Slot boundaries: keys spread over both halves of the range at
+        // one directory bit.
+        let keys: Vec<u64> = (0..64u64).map(|i| i << 58).collect();
+        let (bits, dir) = build_directory(&keys, 64);
+        assert_eq!(bits, 1);
+        assert_eq!(dir, vec![0, 32, 64]);
+        // Every key in the top slot leaves the bottom slot empty.
+        let keys: Vec<u64> = (0..64u64).map(|i| u64::MAX - i).rev().collect();
+        assert_eq!(build_directory(&keys, 64), (1, vec![0, 0, 64]));
+        assert_eq!(build_directory(&[], 0), (0, vec![0, 0]));
+        // The derived directory is resident memory too.
+        let p = encode(&[(1, &[0]), (2, &[1])]);
+        let floor = p.keys().len() * 8 + p.dir.len() * 4 + p.offsets().len() * 8 + p.arena().len();
+        assert!(p.heap_bytes() >= floor);
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //! Deterministic tests pin a fixed interleaving plus the degenerate cases
 //! from the issue (remove-then-reinsert, removing never-assigned ids,
 //! emptying an index entirely, querying exactly at the compaction
-//! threshold); a proptest block then randomizes the op script, the build
-//! size, the buffer, and the shard count over {1, 3, 8}.
+//! threshold); an insert-only case pins the query statistics themselves —
+//! postings touched are counted per id in the delta segment as in the base,
+//! so `QueryStats` equal the rebuild's; a proptest block then randomizes the
+//! op script, the build size, the buffer, and the shard count over
+//! {1, 3, 8}.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -141,6 +144,51 @@ fn degenerate_mutation_sequences() {
         .search_all(ds.vector(42))
         .iter()
         .any(|m| m.id == revived && m.similarity == 1.0));
+}
+
+#[test]
+fn insert_only_query_stats_match_a_rebuild() {
+    // A duplicate insert: both copies share every delta bucket, so a search
+    // for that set stops inside a delta bucket after its first posting. The
+    // mutated index must count the postings it touched, exactly as the
+    // rebuild (where both copies sit in the base bucket) does.
+    let (ds, profile) = pool(0x5EED ^ 5, 201);
+    let twin = ds.vector(200).clone();
+    let mut index = build_fixed(ds.vectors()[..200].to_vec(), &profile, usize::MAX);
+    assert_eq!(index.insert_set(twin.clone()), 200);
+    assert_eq!(index.insert_set(twin.clone()), 201);
+    let mut vectors = ds.vectors().to_vec();
+    vectors.push(twin.clone());
+    let oracle = build_fixed(vectors, &profile, usize::MAX);
+    assert_eq!(
+        index.search_with_stats(&twin),
+        oracle.search_with_stats(&twin)
+    );
+    assert_eq!(
+        index.distinct_candidates(&twin),
+        oracle.distinct_candidates(&twin)
+    );
+
+    // An insert-only script: slot ids and compact ids coincide, so the
+    // statistics — not just the answers — must equal the rebuild's.
+    let n_build = 120;
+    let raw: Vec<(u8, u64)> = (0..60).map(|_| (0u8, 0u64)).collect();
+    let (ops, survivors) = resolve(&raw, n_build, ds.n());
+    let mut index = build_fixed(ds.vectors()[..n_build].to_vec(), &profile, usize::MAX);
+    run_inherent(&mut index, &ds, &ops);
+    let (oracle, _) = oracle_for(&survivors, &ds, &profile);
+    for (i, q) in queries_for(&ds, &profile, 0x57A7, 24).iter().enumerate() {
+        assert_eq!(
+            index.search_with_stats(q),
+            oracle.search_with_stats(q),
+            "q={i}: search_with_stats"
+        );
+        assert_eq!(
+            index.distinct_candidates(q),
+            oracle.distinct_candidates(q),
+            "q={i}: distinct_candidates"
+        );
+    }
 }
 
 #[test]

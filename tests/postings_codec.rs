@@ -6,8 +6,16 @@
 //! typed [`PostingsError`] from `from_parts` — never a panic, never a silently
 //! wrong bucket. The proptest block randomizes bucket shapes; the unit block
 //! pins each corruption class by hand-crafting arenas at the byte level.
+//!
+//! Lookups go through a radix directory derived from the sorted keys (one
+//! slot per top-bits prefix, resized at every `32 * 2^b` keys). The
+//! directory block checks `get` against a reference search over `keys()` on
+//! key sets shaped to stress it: sizes on both sides of each directory
+//! step, keys that all share one slot, and keys at both ends of the range.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use skewsearch::core::persist::{read_postings, write_postings, Reader, Writer};
 use skewsearch::core::{CompressedPostings, PostingsEncoder, PostingsError};
 
 /// Encode a key-sorted map of buckets (ids strictly ascending within each).
@@ -50,8 +58,91 @@ fn bucket_sets() -> impl Strategy<Value = Vec<(u64, Vec<u32>)>> {
     })
 }
 
+/// Encode one bucket per key (keys sorted and deduplicated first), giving
+/// the bucket at key index `i` the ids `[i, i + 1]`.
+fn encode_keys(keys: &[u64]) -> CompressedPostings {
+    let mut keys = keys.to_vec();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut enc = PostingsEncoder::new();
+    for (i, &key) in keys.iter().enumerate() {
+        enc.push(key, i as u32);
+        enc.push(key, i as u32 + 1);
+    }
+    enc.finish()
+}
+
+/// The reference lookup: a linear scan of `keys()` for the bucket index,
+/// then that bucket decoded through the key-ordered `iter()`.
+fn reference_get(p: &CompressedPostings, key: u64) -> Option<Vec<u32>> {
+    let i = p.keys().iter().position(|&k| k == key)?;
+    p.iter().nth(i).map(|(_, cursor)| cursor.collect())
+}
+
+/// `get` agrees with the reference for every stored key, its neighbours
+/// `k ± 1`, and both ends of the key range; and `from_parts` over the
+/// map's own parts rebuilds an equal map, directory included.
+fn assert_lookups_match(p: &CompressedPostings) {
+    let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for &k in p.keys() {
+        probes.extend([k.wrapping_sub(1), k, k.wrapping_add(1)]);
+    }
+    for key in probes {
+        let got = p.get(key).map(|c| c.collect::<Vec<u32>>());
+        assert_eq!(
+            got,
+            reference_get(p, key),
+            "key {key:#x} of {}",
+            p.bucket_count()
+        );
+    }
+    let rebuilt = CompressedPostings::from_parts(
+        p.keys().to_vec(),
+        p.offsets().to_vec(),
+        p.arena().to_vec(),
+        p.bucket_count() + 1,
+        0,
+    );
+    assert_eq!(rebuilt.as_ref(), Ok(p));
+}
+
+/// `count` distinct keys drawn by `draw`.
+fn distinct_keys(count: usize, seed: u64, draw: impl Fn(&mut StdRng) -> u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = std::collections::BTreeSet::new();
+    while keys.len() < count {
+        keys.insert(draw(&mut rng));
+    }
+    keys.into_iter().collect()
+}
+
+/// A strategy for key sets that stress the directory: uniform keys, keys
+/// crowded under one shared top-bits prefix, and keys pinned to either end
+/// of the range, mixed — at sizes crossing the first few directory steps.
+fn directory_keys() -> impl Strategy<Value = Vec<u64>> {
+    let key = (0u8..4, any::<u64>()).prop_map(|(shape, raw)| {
+        let low = raw & 0xFFFF;
+        match shape {
+            0 => raw,
+            1 => 0x5EED_0000_0000_0000 | low,
+            2 => low,
+            _ => u64::MAX - low,
+        }
+    });
+    prop::collection::vec(key, 0..300)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Directory lookups equal the reference search on every key shape.
+    #[test]
+    fn directory_lookups_match_the_reference(keys in directory_keys(), probe in any::<u64>()) {
+        let p = encode_keys(&keys);
+        assert_lookups_match(&p);
+        let got = p.get(probe).map(|c| c.collect::<Vec<u32>>());
+        prop_assert_eq!(got, reference_get(&p, probe));
+    }
 
     /// encode → decode is the identity on every well-formed bucket set,
     /// and the summary statistics match the input.
@@ -299,6 +390,7 @@ fn errors_display_without_panicking() {
         PostingsError::KeyOrder,
         PostingsError::OffsetTable,
         PostingsError::IdOutOfRange,
+        PostingsError::KeyCount,
     ] {
         assert!(!err.to_string().is_empty());
     }
@@ -315,4 +407,62 @@ fn empty_postings_are_well_formed() {
     assert!(p.get(0).is_none());
     let re = CompressedPostings::from_parts(Vec::new(), vec![0], Vec::new(), 0, 0);
     assert_eq!(re, Ok(p));
+}
+
+// ---------------------------------------------------------------------------
+// Radix key directory: lookups against the reference search.
+// ---------------------------------------------------------------------------
+
+/// Key counts on both sides of every directory step up to 8192 keys (the
+/// directory doubles at each `32 * 2^b`), plus the empty and one-key maps.
+fn step_counts() -> Vec<usize> {
+    let mut counts = vec![0, 1, 2, 31, 32, 33];
+    for b in 1..=8 {
+        let step = 32usize << b;
+        counts.extend([step - 1, step, step + 1]);
+    }
+    counts
+}
+
+#[test]
+fn directory_matches_reference_on_every_key_shape() {
+    for count in step_counts() {
+        // Uniform keys, like the interned bucket keys.
+        let uniform = distinct_keys(count, count as u64, |rng| rng.random());
+        assert_eq!(encode_keys(&uniform).bucket_count(), count);
+        // Every key shares its top 40 bits, so at every directory size one
+        // slot holds all of them and every other slot is empty.
+        let shared = distinct_keys(count, count as u64, |rng| {
+            0xABCD_EF01_2300_0000 | rng.random_range(0..1u64 << 24)
+        });
+        // Keys crowded at both ends of the range, the extremes included.
+        let low = distinct_keys(count / 2, 1, |rng| rng.random_range(0..1u64 << 20));
+        let high = distinct_keys(count - count / 2, 2, |rng| {
+            u64::MAX - rng.random_range(0..1u64 << 20)
+        });
+        let ends = [low, high, vec![0, u64::MAX]].concat();
+        for keys in [uniform, shared, ends] {
+            assert_lookups_match(&encode_keys(&keys));
+        }
+    }
+    for extremes in [&[0][..], &[u64::MAX], &[0, u64::MAX]] {
+        assert_lookups_match(&encode_keys(extremes));
+    }
+}
+
+#[test]
+fn default_is_the_canonical_empty_map_and_persists() {
+    let empty = CompressedPostings::default();
+    assert_eq!(empty, CompressedPostings::new());
+    assert_eq!(empty, PostingsEncoder::new().finish());
+    assert_eq!(empty.offsets(), &[0]);
+    assert!(empty.get(0).is_none());
+    assert!(empty.get(u64::MAX).is_none());
+
+    let mut w = Writer::new();
+    write_postings(&mut w, &empty);
+    let payload = w.into_payload();
+    let mut r = Reader::new(&payload);
+    assert_eq!(read_postings(&mut r, 0, 0).ok(), Some(empty));
+    assert!(r.is_empty());
 }
